@@ -18,7 +18,6 @@ from .errors import (
     DomainError,
     EmptySupportError,
     FormatError,
-    InterpolationDomainError,
     InvalidStateError,
     NonphysicalCoherenceError,
     ResolutionError,
@@ -39,6 +38,7 @@ from .jointstate import (
     fit_degradation,
     post_select,
     read_density_matrix,
+    sweep_at,
     write_density_matrix,
     write_sweep,
 )

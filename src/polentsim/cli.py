@@ -60,6 +60,17 @@ def _parse_degrade(text: str) -> jointstate.DegradationModel:
     )
 
 
+def _parse_delays(text: str) -> np.ndarray:
+    """Sorted, de-duplicated ``--delay-fs`` list, in seconds."""
+    try:
+        delays_fs = np.unique([float(part) for part in text.split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"--delay-fs: {exc}") from exc
+    if not np.all(np.isfinite(delays_fs)):
+        raise ConfigError("--delay-fs: delays must be finite")
+    return delays_fs * 1e-15
+
+
 def _degradation(args, config: RunConfig):
     if getattr(args, "degrade", None) is not None:
         return _parse_degrade(args.degrade)
@@ -102,34 +113,12 @@ def cmd_jsa(args) -> int:
     return 0
 
 
-def _listed_delay_sweep(amps, delays_fs, model):
-    tau = np.array(sorted(set(delays_fs)), dtype=float) * 1e-15
-    alpha, beta = jointstate.diagonal_weights(amps)
-    if model is None:
-        d = np.array([jointstate.d_parameter(amps, t) for t in tau])
-    else:
-        d = model.amplitude_scale * np.array(
-            [jointstate.d_parameter(amps, t - model.time_offset) for t in tau]
-        )
-    alpha_arr = np.full(d.shape, alpha)
-    beta_arr = np.full(d.shape, beta)
-    return jointstate.DelaySweep(
-        tau=tau,
-        d=d,
-        alpha=alpha_arr,
-        beta=beta_arr,
-        purity=alpha_arr**2 + beta_arr**2 + 2.0 * np.abs(d) ** 2,
-        phase=np.angle(d),
-    )
-
-
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     amps = _post_selected(config)
     model = _degradation(args, config)
     if args.delay_fs:
-        delays = [float(part) for part in args.delay_fs.split(",")]
-        sweep = _listed_delay_sweep(amps, delays, model)
+        sweep = jointstate.sweep_at(amps, _parse_delays(args.delay_fs), model)
     else:
         sweep = jointstate.delay_sweep(
             amps,
@@ -150,13 +139,7 @@ def cmd_sweep(args) -> int:
 def _model_state(config: RunConfig, model) -> jointstate.PolarizationDensityMatrix:
     amps = _post_selected(config)
     alpha, beta = jointstate.diagonal_weights(amps)
-    tau = config["delay_fs"] * 1e-15
-    if model is None:
-        d = jointstate.d_parameter(amps, tau)
-    else:
-        d = model.amplitude_scale * jointstate.d_parameter(
-            amps, tau - model.time_offset
-        )
+    d = jointstate.d_parameter(amps, config["delay_fs"] * 1e-15, model)
     rho = jointstate.density_matrix(alpha, beta, d)
     if config["background_b"] > 0:
         rho = tomography.mix_background(rho, config["background_b"])

@@ -29,10 +29,6 @@ class NonphysicalCoherenceError(SimulationError):
     """Off-diagonal magnitude exceeds the Cauchy-Schwarz bound."""
 
 
-class InterpolationDomainError(SimulationError):
-    """Swapped-argument evaluation requires points outside the grid."""
-
-
 class UnidentifiableFitError(SimulationError):
     """Fit observations carry no information about the model parameters."""
 

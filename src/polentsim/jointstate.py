@@ -10,15 +10,14 @@ off-diagonal coherence depend on the signal-idler delay tau.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .dichroic import SplitterResponse, sample_on_grid
 from .errors import (
     DegeneratePostSelectionError,
     DomainError,
-    InterpolationDomainError,
     InvalidStateError,
     NonphysicalCoherenceError,
     UnidentifiableFitError,
@@ -45,32 +44,27 @@ class PostSelectedAmplitudes:
     norm_constant: float
     neglected_fraction: float
 
-    def swapped_h(self) -> np.ndarray:
-        """h evaluated with swapped arguments, h(omega'', omega').
+    @cached_property
+    def difference_spectrum(self):
+        """(freqs, weights) with D(tau) = sum(weights * exp(i tau freqs)).
 
-        On a square grid with identical axes this is the transpose;
-        otherwise h is bilinearly interpolated onto the swapped points.
+        Cell (j, k) of the overlap h(omega_i, omega_s) conj(g(omega_s,
+        omega_i)) has difference frequency (j - k) d_omega, so one bincount
+        over j - k collapses the grid onto 2n - 1 terms.  Computed on first
+        use; needs identical axes, on which h with swapped arguments is h.T.
         """
-        if self.grid.axes_match():
-            return self.h.T
-        s_ax, i_ax = self.grid.omega_s_axis, self.grid.omega_i_axis
-        if (
-            i_ax[0] < s_ax[0]
-            or i_ax[-1] > s_ax[-1]
-            or s_ax[0] < i_ax[0]
-            or s_ax[-1] > i_ax[-1]
-        ):
-            raise InterpolationDomainError(
-                "signal and idler axes do not overlap; cannot evaluate "
-                "h with swapped arguments"
-            )
-        interp = RegularGridInterpolator((s_ax, i_ax), self.h)
-        pts_s, pts_i = np.meshgrid(s_ax, i_ax, indexing="ij")
-        # value at (row j on the signal axis, column k on the idler axis)
-        # is h(signal=omega_i[k], idler=omega_s[j])
-        return interp(np.stack([pts_i.ravel(), pts_s.ravel()], axis=-1)).reshape(
-            self.grid.n_s, self.grid.n_i
+        if not self.grid.axes_match():
+            raise DomainError("coherence needs identical signal and idler axes")
+        n = self.grid.n_s
+        overlap = (self.h.T * np.conj(self.g)).ravel()
+        offset = (np.arange(n)[:, None] - np.arange(n) + (n - 1)).ravel()
+        weights = np.bincount(offset, overlap.real, 2 * n - 1) + 1j * np.bincount(
+            offset, overlap.imag, 2 * n - 1
         )
+        freqs = np.arange(1 - n, n) * self.grid.d_omega_s
+        weights *= self.grid.cell / self.norm_constant
+        freqs.flags.writeable = weights.flags.writeable = False  # shared cache
+        return freqs, weights
 
 
 def post_select(jsa: JsaGrid, splitter: SplitterResponse) -> PostSelectedAmplitudes:
@@ -101,32 +95,28 @@ def diagonal_weights(amps: PostSelectedAmplitudes):
     return alpha, beta
 
 
-def d_parameter(amps: PostSelectedAmplitudes, tau: float) -> complex:
-    """Complex degree of polarization entanglement at delay tau (s)."""
-    overlap = amps.swapped_h() * np.conj(amps.g)
-    phase = np.exp(
-        1j
-        * tau
-        * (amps.grid.omega_s_axis[:, None] - amps.grid.omega_i_axis[None, :])
-    )
-    return complex(
-        np.sum(overlap * phase) * amps.grid.cell / amps.norm_constant
-    )
+def _coherence(amps: PostSelectedAmplitudes, tau, model=None) -> np.ndarray:
+    """D at each delay in ``tau``, degraded to s D(tau - t0) by ``model``.
 
-
-def _coherence_spectrum(amps: PostSelectedAmplitudes):
-    """Collapse the g-h overlap onto the difference-frequency axis.
-
-    Returns (difference frequencies, summed overlap per difference); only
-    valid on square grids with identical axes, where every antidiagonal of
-    the overlap matrix shares one difference frequency.  Lets a delay
-    sweep evaluate each tau in O(n) instead of O(n^2).
+    O(n) per delay on the cached difference-frequency spectrum.
     """
-    overlap = amps.h.T * np.conj(amps.g)
-    n = amps.grid.n_s
-    offsets = np.arange(-(n - 1), n)
-    weights = np.array([np.trace(overlap, offset=o) for o in offsets])
-    return -offsets * amps.grid.d_omega_s, weights
+    tau = np.asarray(tau, dtype=float)
+    scale = 1.0
+    if model is not None:
+        tau = tau - model.time_offset
+        scale = model.amplitude_scale
+    freqs, weights = amps.difference_spectrum
+    return scale * (np.exp(1j * np.multiply.outer(tau, freqs)) @ weights)
+
+
+def d_parameter(
+    amps: PostSelectedAmplitudes, tau: float, model: DegradationModel | None = None
+) -> complex:
+    """Complex degree of polarization entanglement at delay tau (s).
+
+    With a degradation model the result is scale * D(tau - offset).
+    """
+    return complex(_coherence(amps, tau, model))
 
 
 @dataclass(frozen=True)
@@ -210,6 +200,18 @@ def _sweep_from_values(tau, d, alpha, beta) -> DelaySweep:
     )
 
 
+def sweep_at(
+    amps: PostSelectedAmplitudes, tau, model: DegradationModel | None = None
+) -> DelaySweep:
+    """Evaluate the (optionally degraded) coherence at increasing delays.
+
+    Listed and uniform sweeps share this record, anchored unwrapped phase
+    included.
+    """
+    alpha, beta = diagonal_weights(amps)
+    return _sweep_from_values(tau, _coherence(amps, tau, model), alpha, beta)
+
+
 def delay_sweep(
     amps: PostSelectedAmplitudes, tau_min: float, tau_max: float, n: int
 ) -> DelaySweep:
@@ -218,16 +220,7 @@ def delay_sweep(
         raise DomainError("need tau_min < tau_max")
     if n < 2:
         raise DomainError("need at least 2 sweep samples")
-    tau = np.linspace(tau_min, tau_max, n)
-    alpha, beta = diagonal_weights(amps)
-    if amps.grid.axes_match():
-        freqs, weights = _coherence_spectrum(amps)
-        d = (
-            np.exp(1j * np.outer(tau, freqs)) @ weights
-        ) * amps.grid.cell / amps.norm_constant
-    else:
-        d = np.array([d_parameter(amps, t) for t in tau])
-    return _sweep_from_values(tau, d, alpha, beta)
+    return sweep_at(amps, np.linspace(tau_min, tau_max, n))
 
 
 @dataclass(frozen=True)

@@ -308,16 +308,18 @@ def apply_bandpass(jsa: JsaGrid, center_wavelength, width) -> JsaGrid:
 def antidiagonal_marginal(jsa: JsaGrid):
     """Marginal of |f|^2 over the signal+idler sum frequency.
 
-    Returns (sum_frequencies, density); only defined for square grids with
-    a common step so the sums fall on a uniform axis.
+    Returns (sum_frequencies, density); only defined for grids with a
+    common step on both axes so the sums fall on a uniform axis.
     """
     grid = jsa.grid
     if abs(grid.d_omega_s - grid.d_omega_i) > 1e-9 * grid.d_omega_s:
         raise DomainError("marginal requires equal axis steps")
-    intensity = np.abs(jsa.amplitude) ** 2
-    flipped = intensity[:, ::-1]
+    # cell (j, k) has sum frequency omega_s[0] + omega_i[0] + (j + k) d_omega
+    index_sum = (np.arange(grid.n_s)[:, None] + np.arange(grid.n_i)[None, :]).ravel()
+    density = np.bincount(
+        index_sum, (np.abs(jsa.amplitude) ** 2).ravel(), grid.n_s + grid.n_i - 1
+    )
     offsets = np.arange(-(grid.n_i - 1), grid.n_s)
-    density = np.array([np.trace(flipped, offset=-o) for o in offsets])
     sums = (
         grid.omega_s_axis[0]
         + grid.omega_i_axis[-1]
@@ -378,6 +380,8 @@ def read_jsa(path) -> JsaGrid:
             raise FormatError("JSA header needs 6 fields")
         n_s, n_i = int(parts[0]), int(parts[1])
         s_min, s_step, i_min, i_step = map(float, parts[2:])
+        if (n_s, s_min, s_step) != (n_i, i_min, i_step):
+            raise FormatError("JSA signal and idler axes must be identical")
         values = np.loadtxt(fh, dtype=float, ndmin=2)
     if values.shape != (n_s * n_i, 2):
         raise FormatError(

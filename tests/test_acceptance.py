@@ -251,7 +251,7 @@ def test_criterion_08_tomography_with_counting_statistics():
     amps = pipe["amps"]
     fit = pipe["fit"]
     alpha, beta = diagonal_weights(amps)
-    d = fit.amplitude_scale * d_parameter(amps, 25.9e-15 - fit.time_offset)
+    d = d_parameter(amps, 25.9e-15, fit)
     truth = mix_background(density_matrix(alpha, beta, d), BACKGROUND)
 
     pair_rate = calibrate_pair_rate(truth, COINC_RATE)

@@ -50,6 +50,20 @@ class TestJsaCommand:
         assert run(["jsa", "--config", str(cfg2), "--out", str(out2)]) == 0
         assert (out2 / "jsa.txt").read_bytes() == first
 
+    def test_unequal_axes_file_exit_code(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        run(["jsa", "--config", config_path, "--out", str(out)])
+        lines = (out / "jsa.txt").read_text().splitlines(keepends=True)
+        header = lines[0].split()
+        header[5] = repr(float(header[5]) + float(header[4]))  # idler start
+        lines[0] = " ".join(header) + "\n"
+        shifted = tmp_path / "shifted.txt"
+        shifted.write_text("".join(lines))
+        cfg2 = tmp_path / "import.cfg"
+        cfg2.write_text(CONFIG_TEXT + f"jsa_file = {shifted}\n")
+        assert run(["sweep", "--config", str(cfg2), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("error[format]:")
+
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("grid_pts = 64\n")
@@ -88,6 +102,36 @@ class TestSweepCommand:
         rows = np.loadtxt(out / "sweep.txt")
         assert rows.shape == (3, 8)
         assert np.allclose(rows[:, 0], [-25.9, 0.0, 25.9])
+
+    def test_listed_delays_match_uniform_sweep(self, tmp_path):
+        config = tmp_path / "small.cfg"
+        config.write_text(
+            CONFIG_TEXT
+            + "tau_min_fs = -200\ntau_max_fs = 250\ntau_points = 10\n"
+        )
+        out_u, out_l = tmp_path / "uniform", tmp_path / "listed"
+        assert run(["sweep", "--config", str(config), "--out", str(out_u)]) == 0
+        uniform = np.loadtxt(out_u / "sweep.txt")
+        delays = ",".join("%.17g" % t for t in uniform[::-1, 0])
+        assert run(
+            ["sweep", "--config", str(config), "--out", str(out_l),
+             f"--delay-fs={delays}"]
+        ) == 0
+        listed = np.loadtxt(out_l / "sweep.txt")
+        assert listed.shape == uniform.shape
+        # the window is wide enough that the principal value would wrap
+        assert np.abs(uniform[:, 7]).max() > np.pi
+        # re_D, im_D and the anchored, unwrapped phase_rad
+        for col in (1, 2, 7):
+            assert np.max(np.abs(listed[:, col] - uniform[:, col])) < 1e-12
+
+    @pytest.mark.parametrize("delays", ["1,abc", "1,,2", "0,nan"])
+    def test_bad_delay_list(self, config_path, capsys, delays):
+        assert run(
+            ["sweep", "--config", config_path, f"--delay-fs={delays}"]
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[config]: --delay-fs")
 
     def test_bad_degrade_flag(self, config_path, capsys):
         assert run(

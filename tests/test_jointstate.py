@@ -25,6 +25,7 @@ from polentsim.jointstate import (
     fit_degradation,
     post_select,
     read_density_matrix,
+    sweep_at,
     write_density_matrix,
     write_sweep,
 )
@@ -50,6 +51,14 @@ def random_splitter(rng):
         step_width=(2 + 10 * rng.random()) * 1e-9,
         transmit_long=bool(rng.integers(2)),
     )
+
+
+def direct_coherence(amps, tau):
+    """O(n^2) double sum of h(omega_i, omega_s) conj(g) e^{i tau (omega_s - omega_i)}."""
+    ws = amps.grid.omega_s_axis[:, None]
+    wi = amps.grid.omega_i_axis[None, :]
+    terms = amps.h.T * np.conj(amps.g) * np.exp(1j * tau * (ws - wi))
+    return complex(np.sum(terms) * amps.grid.cell / amps.norm_constant)
 
 
 def loop_reference(jsa, splitter, tau):
@@ -116,9 +125,18 @@ class TestPostSelect:
         with pytest.raises(DegeneratePostSelectionError):
             post_select(build_jsa(MODEL, GRID), resp)
 
-    def test_swapped_h_is_transpose_on_square_grid(self):
-        amps = post_select(build_jsa(MODEL, GRID), SPLIT)
-        assert np.array_equal(amps.swapped_h(), amps.h.T)
+
+class TestUnequalAxes:
+    def test_coherence_rejects_unequal_axes(self):
+        axis = FrequencyGrid.centered(1535.2e-9, 40e-9, n=8).omega_s_axis
+        grid = FrequencyGrid(axis, axis + (axis[1] - axis[0]))
+        rng = np.random.default_rng(5)
+        jsa = JsaGrid.normalized(grid, rng.normal(size=(8, 8)) + 0j)
+        amps = post_select(jsa, SplitterResponse())
+        with pytest.raises(DomainError):
+            d_parameter(amps, 0.0)
+        with pytest.raises(DomainError):
+            delay_sweep(amps, -100e-15, 100e-15, 5)
 
 
 class TestLoopOracle:
@@ -173,8 +191,19 @@ class TestDelaySweep:
     def test_fast_path_matches_direct_evaluation(self):
         amps = post_select(build_jsa(MODEL, GRID), SPLIT)
         sweep = delay_sweep(amps, -100e-15, 100e-15, 21)
-        direct = np.array([d_parameter(amps, t) for t in sweep.tau])
+        direct = np.array([direct_coherence(amps, t) for t in sweep.tau])
         assert np.max(np.abs(sweep.d - direct)) < 1e-12
+
+    def test_degraded_sweep_matches_direct_evaluation(self):
+        amps = post_select(build_jsa(MODEL, GRID), SPLIT)
+        model = DegradationModel(amplitude_scale=0.8, time_offset=20e-15)
+        tau = np.array([-25.9e-15, 0.0, 25.9e-15])
+        sweep = sweep_at(amps, tau, model)
+        direct = np.array([0.8 * direct_coherence(amps, t - 20e-15) for t in tau])
+        assert np.max(np.abs(sweep.d - direct)) < 1e-12
+        assert d_parameter(amps, tau[2], model) == pytest.approx(sweep.d[2], abs=1e-15)
+        alpha, beta = diagonal_weights(amps)
+        assert np.all(sweep.alpha == alpha) and np.all(sweep.beta == beta)
 
     def test_purity_identity_rows(self):
         amps = post_select(build_jsa(MODEL, GRID), SPLIT)

@@ -180,6 +180,26 @@ class TestBuildJsa:
         assert fwhm == pytest.approx(MODEL.pump_bandwidth_omega, rel=0.02)
 
 
+class TestAntidiagonalMarginal:
+    def test_matches_double_loop_on_rectangular_grid(self):
+        axis = GRID.omega_s_axis
+        grid = FrequencyGrid(axis[:8], axis[20:32])  # 8 x 12, common step
+        rng = np.random.default_rng(3)
+        amp = rng.normal(size=(8, 12)) + 1j * rng.normal(size=(8, 12))
+        jsa = JsaGrid.normalized(grid, amp)
+        sums, density = antidiagonal_marginal(jsa)
+        expected = np.zeros(8 + 12 - 1)
+        for j in range(8):
+            for k in range(12):
+                expected[j + k] += abs(jsa.amplitude[j, k]) ** 2
+        expected *= grid.cell / grid.d_omega_s
+        assert np.allclose(density, expected, rtol=1e-14, atol=0)
+        step = grid.d_omega_s
+        assert np.allclose(
+            sums, axis[0] + axis[20] + step * np.arange(19), rtol=1e-15, atol=0
+        )
+
+
 class TestApplyBandpass:
     def test_full_window_is_identity(self):
         jsa = build_jsa(MODEL, GRID)
@@ -242,6 +262,23 @@ class TestJsaFile:
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 2\n")
+        with pytest.raises(FormatError):
+            read_jsa(path)
+
+    @pytest.mark.parametrize(
+        "idler_axis",
+        [
+            GRID.omega_s_axis[:-1],  # fewer points
+            GRID.omega_s_axis + GRID.d_omega_s,  # shifted start
+            GRID.omega_s_axis[0] + 0.5 * GRID.d_omega_s * np.arange(GRID.n_s),
+        ],
+        ids=["count", "start", "step"],
+    )
+    def test_unequal_axes_rejected(self, tmp_path, idler_axis):
+        grid = FrequencyGrid(GRID.omega_s_axis, idler_axis)
+        amp = np.random.default_rng(1).normal(size=(grid.n_s, grid.n_i))
+        path = tmp_path / "jsa.txt"
+        write_jsa(path, JsaGrid.normalized(grid, amp))
         with pytest.raises(FormatError):
             read_jsa(path)
 
