@@ -6,9 +6,9 @@ from dataclasses import replace
 
 from scipy.optimize import brentq
 
-from .dichroic import SplitterResponse
+from .dichroic import SplitterResponse, sample_on_grid
 from .errors import UnidentifiableFitError
-from .jointstate import diagonal_weights, post_select
+from .jointstate import _cross_path_weights, _power
 from .spectral import JsaGrid
 
 
@@ -33,11 +33,15 @@ def fit_edge_split(
 
     A common shift of both edges leaves the weights balanced for a
     swap-symmetric pair amplitude, so the asymmetry is carried entirely
-    by the per-polarization edge separation fitted here.
+    by the per-polarization edge separation fitted here.  The weight is
+    the one :func:`~polentsim.jointstate.post_select` reports, evaluated
+    from |f|^2 and the two edge curves without building g and h.
     """
+    power = _power(jsa.amplitude)
 
     def excess(split):
-        alpha, _ = diagonal_weights(post_select(jsa, split_edges(template, split)))
+        curves = sample_on_grid(split_edges(template, split), jsa.grid)
+        alpha, _, _ = _cross_path_weights(power, curves, jsa.grid.cell)
         return alpha - target_alpha
 
     lo, hi = bracket

@@ -222,6 +222,8 @@ def _read_observations(path):
                 tau_fs, re, im = (float(p) for p in parts)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            if not np.all(np.isfinite((tau_fs, re, im))):
+                raise FormatError(f"{path}:{lineno}: values must be finite")
             observations.append((tau_fs * 1e-15, complex(re, im)))
     return observations
 

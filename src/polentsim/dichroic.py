@@ -38,10 +38,10 @@ class SplitterResponse:
     table_v: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.edge_wavelength_h <= 0 or self.edge_wavelength_v <= 0:
-            raise DomainError("edge wavelengths must be positive")
-        if self.step_width <= 0:
-            raise DomainError("step width must be positive")
+        for name in ("edge_wavelength_h", "edge_wavelength_v", "step_width"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be positive and finite")
         for name in ("table_h", "table_v"):
             tab = getattr(self, name)
             if tab is None:
@@ -49,6 +49,8 @@ class SplitterResponse:
             tab = np.asarray(tab, dtype=float)
             if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
                 raise DomainError(f"{name}: need an (n, 2) array with n >= 2")
+            if not np.all(np.isfinite(tab)):
+                raise DomainError(f"{name}: values must be finite")
             if np.any(np.diff(tab[:, 0]) <= 0):
                 raise DomainError(f"{name}: wavelengths must be increasing")
             if np.any((tab[:, 1] < 0) | (tab[:, 1] > 1)):

@@ -9,12 +9,13 @@ off-diagonal coherence depend on the signal-idler delay tau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .dichroic import SplitterResponse, sample_on_grid
+from .dichroic import SplitterCurves, SplitterResponse, sample_on_grid
 from .errors import (
     DegeneratePostSelectionError,
     DomainError,
@@ -35,7 +36,8 @@ class PostSelectedAmplitudes:
 
     ``norm_constant`` is the shared normalization (the Riemann sum of
     |g|^2 + |h|^2); ``neglected_fraction`` is the same-path probability
-    dropped by post-selection.
+    dropped by post-selection; ``alpha`` and ``beta`` are the diagonal
+    weights, the shares of |g|^2 and |h|^2 in the normalization.
     """
 
     g: np.ndarray
@@ -43,70 +45,106 @@ class PostSelectedAmplitudes:
     grid: FrequencyGrid
     norm_constant: float
     neglected_fraction: float
+    alpha: float
+    beta: float
 
     @cached_property
     def difference_spectrum(self):
-        """(freqs, weights) with D(tau) = sum(weights * exp(i tau freqs)).
+        """(d_omega, table) with D(tau) the sum over (k1, k0) of
+        table[k1, k0] exp(i tau (k1 B + k0 - (n - 1)) d_omega), B =
+        table.shape[1].
 
         Cell (j, k) of the overlap h(omega_i, omega_s) conj(g(omega_s,
         omega_i)) has difference frequency (j - k) d_omega, so one bincount
-        over j - k collapses the grid onto 2n - 1 terms.  Computed on first
+        over j - k collapses the grid onto 2n - 1 terms, zero-padded to a
+        K x B table with B the ceiling of sqrt(2n - 1).  Computed on first
         use; needs identical axes, on which h with swapped arguments is h.T.
         """
         if not self.grid.axes_match():
             raise DomainError("coherence needs identical signal and idler axes")
         n = self.grid.n_s
+        terms = 2 * n - 1
+        block = math.isqrt(terms - 1) + 1
+        size = block * -(-terms // block)
         overlap = (self.h.T * np.conj(self.g)).ravel()
         offset = (np.arange(n)[:, None] - np.arange(n) + (n - 1)).ravel()
-        weights = np.bincount(offset, overlap.real, 2 * n - 1) + 1j * np.bincount(
-            offset, overlap.imag, 2 * n - 1
+        weights = np.bincount(offset, overlap.real, size) + 1j * np.bincount(
+            offset, overlap.imag, size
         )
-        freqs = np.arange(1 - n, n) * self.grid.d_omega_s
         weights *= self.grid.cell / self.norm_constant
-        freqs.flags.writeable = weights.flags.writeable = False  # shared cache
-        return freqs, weights
+        table = weights.reshape(-1, block)
+        table.flags.writeable = False  # shared cache
+        return self.grid.d_omega_s, table
+
+
+def _cross_path_weights(power, curves: SplitterCurves, cell: float):
+    """(alpha, beta, norm) of the cross-path terms of |f|^2 = ``power``.
+
+    |g|^2 = |f|^2 t_H r_V and |h|^2 = |f|^2 r_H t_V, so each Riemann sum
+    is a bilinear form of the power grid with two edge curves.
+    """
+    rows = np.stack([curves.t_h, curves.r_h]) @ power
+    weight_g = float(rows[0] @ curves.r_v) * cell
+    weight_h = float(rows[1] @ curves.t_v) * cell
+    norm = weight_g + weight_h
+    if norm <= 1e-12:
+        raise DegeneratePostSelectionError(
+            "splitter produces no cross-path coincidences"
+        )
+    return weight_g / norm, weight_h / norm, norm
+
+
+def _power(amplitude) -> np.ndarray:
+    """|f|^2 of a complex grid."""
+    return amplitude.real**2 + amplitude.imag**2
 
 
 def post_select(jsa: JsaGrid, splitter: SplitterResponse) -> PostSelectedAmplitudes:
     """Split the pair amplitude into the two cross-path terms."""
     curves = sample_on_grid(splitter, jsa.grid)
+    alpha, beta, norm = _cross_path_weights(
+        _power(jsa.amplitude), curves, jsa.grid.cell
+    )
     f = jsa.amplitude
-    g = f * np.sqrt(np.outer(curves.t_h, curves.r_v))
-    h = f * np.sqrt(np.outer(curves.r_h, curves.t_v))
-    norm = float((np.sum(np.abs(g) ** 2) + np.sum(np.abs(h) ** 2)) * jsa.grid.cell)
-    if norm <= 1e-12:
-        raise DegeneratePostSelectionError(
-            "splitter produces no cross-path coincidences"
-        )
+    g = f * np.outer(np.sqrt(curves.t_h), np.sqrt(curves.r_v))
+    h = f * np.outer(np.sqrt(curves.r_h), np.sqrt(curves.t_v))
     return PostSelectedAmplitudes(
         g=g,
         h=h,
         grid=jsa.grid,
         norm_constant=norm,
         neglected_fraction=float(max(0.0, 1.0 - norm)),
+        alpha=alpha,
+        beta=beta,
     )
 
 
 def diagonal_weights(amps: PostSelectedAmplitudes):
     """Diagonal weights (alpha, beta) of the polarization density matrix."""
-    cell = amps.grid.cell
-    alpha = float(np.sum(np.abs(amps.g) ** 2) * cell / amps.norm_constant)
-    beta = float(np.sum(np.abs(amps.h) ** 2) * cell / amps.norm_constant)
-    return alpha, beta
+    return amps.alpha, amps.beta
 
 
 def _coherence(amps: PostSelectedAmplitudes, tau, model=None) -> np.ndarray:
     """D at each delay in ``tau``, degraded to s D(tau - t0) by ``model``.
 
-    O(n) per delay on the cached difference-frequency spectrum.
+    Each difference index m = k1 B + k0 splits its phase factor into
+    exp(i tau (k1 B - (n - 1)) d_omega) exp(i tau k0 d_omega): two tables
+    of about sqrt(2n) exponentials per delay and one matrix product with
+    the cached weight table, for any array of delays.
     """
     tau = np.asarray(tau, dtype=float)
     scale = 1.0
     if model is not None:
         tau = tau - model.time_offset
         scale = model.amplitude_scale
-    freqs, weights = amps.difference_spectrum
-    return scale * (np.exp(1j * np.multiply.outer(tau, freqs)) @ weights)
+    d_omega, table = amps.difference_spectrum
+    blocks, block = table.shape
+    fine = np.exp(1j * np.multiply.outer(tau, np.arange(block) * d_omega))
+    first = 1 - amps.grid.n_s
+    coarse = np.exp(
+        1j * np.multiply.outer(tau, (first + block * np.arange(blocks)) * d_omega)
+    )
+    return scale * np.sum(coarse * (fine @ table.T), axis=-1)
 
 
 def d_parameter(
@@ -275,28 +313,32 @@ def fit_degradation(
         raise DomainError("need at least 2 observations")
     obs_tau = np.array([t for t, _ in obs], dtype=float)
     obs_d = np.array([d for _, d in obs], dtype=complex)
+    if not (np.all(np.isfinite(obs_tau)) and np.all(np.isfinite(obs_d))):
+        raise DomainError("observations must be finite")
     if np.all(np.abs(obs_d) == 0.0):
         raise UnidentifiableFitError("all observed coherences are zero")
     if offset_range is None:
         half_span = (sweep.tau[-1] - sweep.tau[0]) / 2.0
         offset_range = (-half_span, half_span)
     offsets = np.arange(offset_range[0], offset_range[1], offset_resolution)
-    best = None
-    for t0 in offsets:
-        theory = _interp_complex(obs_tau - t0, sweep.tau, sweep.d)
-        denom = float(np.sum(np.abs(theory) ** 2))
-        if denom == 0.0:
-            continue
-        scale = float(np.real(np.sum(np.conj(theory) * obs_d)) / denom)
-        scale = min(1.0, scale)
-        if scale <= 0.0:
-            continue
-        residual = float(np.sum(np.abs(scale * theory - obs_d) ** 2))
-        if best is None or residual < best[0]:
-            best = (residual, scale, float(t0))
-    if best is None:
+    # one row per offset; each row repeats the arithmetic of a scalar scan
+    theory = _interp_complex(obs_tau - offsets[:, None], sweep.tau, sweep.d)
+    denom = np.sum(np.abs(theory) ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.real(np.sum(np.conj(theory) * obs_d, axis=1)) / denom
+    scale = np.minimum(1.0, scale)
+    admissible = np.flatnonzero((denom != 0.0) & (scale > 0.0))
+    if admissible.size == 0:
         raise UnidentifiableFitError("no admissible (scale, offset) found")
-    return DegradationModel(amplitude_scale=best[1], time_offset=best[2])
+    scale = scale[admissible]
+    residual = np.sum(
+        np.abs(scale[:, None] * theory[admissible] - obs_d) ** 2, axis=1
+    )
+    best = int(np.argmin(residual))  # first of equal residuals
+    return DegradationModel(
+        amplitude_scale=float(scale[best]),
+        time_offset=float(offsets[admissible[best]]),
+    )
 
 
 def write_sweep(path, sweep: DelaySweep) -> None:

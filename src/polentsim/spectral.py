@@ -38,6 +38,8 @@ def _check_uniform_axis(axis, name):
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size < 2:
         raise DomainError(f"{name}: need at least 2 points")
+    if not np.all(np.isfinite(axis)):
+        raise DomainError(f"{name}: axis must be finite")
     steps = np.diff(axis)
     if np.any(steps <= 0):
         raise DomainError(f"{name}: axis must be strictly increasing")
@@ -145,8 +147,11 @@ class PdcModel:
             "degeneracy_wavelength",
             "crystal_length",
         ):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be positive and finite")
+        if not np.isfinite(self.intrinsic_delay_comp):
+            raise DomainError("intrinsic_delay_comp must be finite")
         n_gs, n_gi, n_gp = _default_group_indices(
             self.crystal_length, self.intrinsic_delay_comp
         )
@@ -157,8 +162,9 @@ class PdcModel:
         if self.group_index_pump is None:
             object.__setattr__(self, "group_index_pump", n_gp)
         for name in ("group_index_signal", "group_index_idler", "group_index_pump"):
-            if getattr(self, name) < 1.0:
-                raise DomainError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 1.0):
+                raise DomainError(f"{name} must be finite and >= 1")
 
     @property
     def omega_pump_center(self) -> float:
@@ -180,6 +186,11 @@ class PdcModel:
         )
 
 
+def _riemann_power(values, cell) -> float:
+    """Riemann sum of |values|^2 times the cell area (one BLAS dot product)."""
+    return float(np.vdot(values, values).real) * cell
+
+
 @dataclass(frozen=True)
 class JsaGrid:
     """Discretized complex joint spectral amplitude, unit Riemann norm."""
@@ -193,17 +204,18 @@ class JsaGrid:
         if amp.shape != (self.grid.n_s, self.grid.n_i):
             raise DomainError("amplitude shape does not match the grid")
         object.__setattr__(self, "amplitude", amp)
-        if abs(self.norm() - 1.0) > 1e-9:
+        norm = self.norm()
+        if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
             raise DomainError("joint spectral amplitude is not normalized")
 
     def norm(self) -> float:
         """Riemann sum of |f|^2 over the grid."""
-        return float(np.sum(np.abs(self.amplitude) ** 2) * self.grid.cell)
+        return _riemann_power(self.amplitude, self.grid.cell)
 
     @classmethod
     def normalized(cls, grid, amplitude, discarded_fraction=0.0):
         amplitude = np.asarray(amplitude, dtype=complex)
-        total = np.sum(np.abs(amplitude) ** 2) * grid.cell
+        total = _riemann_power(amplitude, grid.cell)
         if total <= 0:
             raise EmptySupportError("amplitude has zero norm on this grid")
         return cls(grid, amplitude / np.sqrt(total), discarded_fraction)
@@ -219,8 +231,27 @@ def pump_envelope(model: PdcModel, omega_sum):
     if np.any(omega_sum <= 0):
         raise DomainError("pump frequency must be positive")
     delta = omega_sum - model.omega_pump_center
-    out = np.exp(-2.0 * np.log(2.0) * (delta / model.pump_bandwidth_omega) ** 2)
-    return out.astype(complex)
+    return _gaussian(delta / model.pump_bandwidth_omega).astype(complex)
+
+
+def _gaussian(u):
+    """Pump amplitude at detuning u, in units of the intensity FWHM."""
+    return np.exp(-2.0 * np.log(2.0) * (u * u))
+
+
+def _mismatch_terms(model: PdcModel, omega_s, omega_i):
+    """c dk split as (signal part, idler part, constant).
+
+    Grouping each group index with the pump's leaves terms that vanish at
+    degeneracy instead of three terms of ~3e5 1/m that cancel.
+    """
+    n_gp = model.group_index_pump
+    w0 = model.omega_degeneracy
+    return (
+        (n_gp - model.group_index_signal) * (omega_s - w0),
+        (n_gp - model.group_index_idler) * (omega_i - w0),
+        n_gp * (2.0 * w0 - model.omega_pump_center),
+    )
 
 
 def phase_mismatch(model: PdcModel, omega_s, omega_i):
@@ -229,18 +260,44 @@ def phase_mismatch(model: PdcModel, omega_s, omega_i):
     omega_i = np.asarray(omega_i, dtype=float)
     if np.any(omega_s <= 0) or np.any(omega_i <= 0):
         raise DomainError("frequencies must be positive")
-    w0 = model.omega_degeneracy
-    return (
-        model.group_index_pump * (omega_s + omega_i - model.omega_pump_center)
-        - model.group_index_signal * (omega_s - w0)
-        - model.group_index_idler * (omega_i - w0)
-    ) / C
+    signal, idler, constant = _mismatch_terms(model, omega_s, omega_i)
+    return (signal + idler + constant) / C
+
+
+def _sinc(x):
+    """sin(x)/x with the limit 1 at x = 0."""
+    x = np.asarray(x, dtype=float)
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def phase_matching(model: PdcModel, omega_s, omega_i):
     """sinc(dk L/2) * exp(i dk L/2) phase-matching amplitude."""
     x = phase_mismatch(model, omega_s, omega_i) * model.crystal_length / 2.0
-    return np.sinc(x / np.pi) * np.exp(1j * x)
+    return _sinc(x) * np.exp(1j * x)
+
+
+def _grid_factors(model: PdcModel, axis_s, axis_i):
+    """Pump x phase-matching on the outer grid of two axes, factorized.
+
+    Returns (envelope, phase_s, phase_i) with the amplitude equal to
+    envelope * outer(phase_s, phase_i): dk L/2 is a sum of a signal and an
+    idler term, so exp(i dk L/2) is an outer product of axis vectors and
+    only the pump Gaussian and the sinc are evaluated per cell.
+    """
+    if np.any(axis_s <= 0) or np.any(axis_i <= 0):
+        raise DomainError("frequencies must be positive")
+    signal, idler, constant = _mismatch_terms(model, axis_s, axis_i)
+    half_length = model.crystal_length / (2.0 * C)
+    x_s = (signal + constant) * half_length
+    x_i = idler * half_length
+    # omega - omega_p / 2 is exact near degeneracy; the pump detuning is
+    # the sum of the two per-axis detunings
+    half_pump = model.omega_pump_center / 2.0
+    u_s = (axis_s - half_pump) / model.pump_bandwidth_omega
+    u_i = (axis_i - half_pump) / model.pump_bandwidth_omega
+    envelope = _gaussian(np.add.outer(u_s, u_i))
+    envelope *= _sinc(np.add.outer(x_s, x_i))
+    return envelope, np.exp(1j * x_s), np.exp(1j * x_i)
 
 
 def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
@@ -256,12 +313,13 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
             "grid too coarse across the pump bandwidth "
             f"({model.pump_bandwidth_omega / (2.0 * step):.1f} points, need >= 8)"
         )
-    ws = grid.omega_s_axis[:, None]
-    wi = grid.omega_i_axis[None, :]
-    amp = pump_envelope(model, ws + wi) * phase_matching(model, ws, wi)
-    norm_in = np.sum(np.abs(amp) ** 2) * grid.cell
+    envelope, phase_s, phase_i = _grid_factors(
+        model, grid.omega_s_axis, grid.omega_i_axis
+    )
+    norm_in = _riemann_power(envelope, grid.cell)
 
-    # clipping estimate on a doubled window, same number of points
+    # clipping estimate on a doubled window, same number of points; the
+    # unit-modulus phase does not enter |f|^2
     def _wide(axis):
         span = axis[-1] - axis[0]
         step = 2.0 * span / axis.size
@@ -270,12 +328,14 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
 
     ws_w, ds_w = _wide(grid.omega_s_axis)
     wi_w, di_w = _wide(grid.omega_i_axis)
-    amp_w = pump_envelope(model, ws_w[:, None] + wi_w[None, :]) * phase_matching(
-        model, ws_w[:, None], wi_w[None, :]
-    )
-    norm_wide = np.sum(np.abs(amp_w) ** 2) * ds_w * di_w
+    norm_wide = _riemann_power(_grid_factors(model, ws_w, wi_w)[0], ds_w * di_w)
     discarded = max(0.0, 1.0 - norm_in / norm_wide) if norm_wide > 0 else 0.0
-    return JsaGrid.normalized(grid, amp, discarded_fraction=discarded)
+    if not norm_in > 0:
+        raise EmptySupportError("amplitude has zero norm on this grid")
+    envelope /= np.sqrt(norm_in)
+    amplitude = np.outer(phase_s, phase_i)
+    amplitude *= envelope
+    return JsaGrid(grid, amplitude, discarded_fraction=discarded)
 
 
 def apply_bandpass(jsa: JsaGrid, center_wavelength, width) -> JsaGrid:
@@ -297,7 +357,7 @@ def apply_bandpass(jsa: JsaGrid, center_wavelength, width) -> JsaGrid:
     if not keep.any():
         raise EmptySupportError("band-pass window does not overlap the grid")
     filtered = np.where(keep, jsa.amplitude, 0.0)
-    norm_in = np.sum(np.abs(filtered) ** 2) * jsa.grid.cell
+    norm_in = _riemann_power(filtered, jsa.grid.cell)
     if norm_in <= 0:
         raise EmptySupportError("band-pass window has no amplitude support")
     return JsaGrid.normalized(
@@ -349,6 +409,10 @@ def marginal_fwhm(axis, density) -> float:
     return float(right - left)
 
 
+#: Real values formatted per call of :func:`write_jsa`.
+_WRITE_BLOCK_VALUES = 1 << 16
+
+
 def write_jsa(path, jsa: JsaGrid) -> None:
     """Write the line-oriented JSA table (SI units, full precision)."""
     grid = jsa.grid
@@ -364,9 +428,12 @@ def write_jsa(path, jsa: JsaGrid) -> None:
                 grid.d_omega_i,
             )
         )
-        for row in jsa.amplitude:
-            for val in row:
-                fh.write("%.17g %.17g\n" % (val.real, val.imag))
+        # one format call per block of rows keeps the string a few MB
+        values = np.ascontiguousarray(jsa.amplitude).view(float)
+        rows = max(1, _WRITE_BLOCK_VALUES // values.shape[1])
+        for start in range(0, values.shape[0], rows):
+            block = values[start : start + rows].ravel().tolist()
+            fh.write(("%.17g %.17g\n" * (len(block) // 2)) % tuple(block))
 
 
 def read_jsa(path) -> JsaGrid:

@@ -435,7 +435,16 @@ def read_count_table(path) -> CountTable:
                         raise FormatError(
                             f"{path}:{lineno}: header needs acquisition_s gate_rate_hz"
                         )
-                    acquisition_time, gate_rate = float(parts[0]), float(parts[1])
+                    try:
+                        acquisition_time, gate_rate = map(float, parts)
+                    except ValueError as exc:
+                        raise FormatError(f"{path}:{lineno}: {exc}") from exc
+                    header = (acquisition_time, gate_rate)
+                    if not all(np.isfinite(v) and v > 0 for v in header):
+                        raise FormatError(
+                            f"{path}:{lineno}: acquisition time and gate rate "
+                            "must be positive and finite"
+                        )
                 continue
             parts = line.split()
             if len(parts) != 5:

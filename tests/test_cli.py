@@ -70,6 +70,27 @@ class TestJsaCommand:
         assert run(["jsa", "--config", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error[config]:")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("pump_bandwidth_fwhm_nm", "nan"),
+            ("pump_bandwidth_fwhm_nm", "inf"),
+            ("edge_h_nm", "nan"),
+            ("step_width_nm", "inf"),
+        ],
+    )
+    def test_non_finite_config_value_exit_code(
+        self, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert run(["jsa", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[config]:")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestSweepCommand:
     def test_uniform_sweep_table(self, config_path, tmp_path):
@@ -197,6 +218,31 @@ class TestTomoCommands:
         pair = dropped.split()[:2]
         assert f"{pair[0]},{pair[1]}" in err
 
+    @pytest.mark.parametrize(
+        "header",
+        ["0 1900000", "120 0", "-120 1900000", "nan 1900000", "inf 1900000",
+         "120 nan", "120 inf", "120 fast"],
+    )
+    def test_reconstruct_bad_header_exit_code(
+        self, config_path, tmp_path, capsys, header
+    ):
+        out = tmp_path / "out"
+        run(["tomo", "simulate", "--config", config_path, "--out", str(out)])
+        lines = (out / "counts.txt").read_text().splitlines()
+        lines[0] = "# " + header
+        broken = tmp_path / "broken.txt"
+        broken.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(
+            ["tomo", "reconstruct", "--config", config_path,
+             "--counts", str(broken), "--out", str(out)]
+        )
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[format]:")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestMetricsCommand:
     def test_report(self, config_path, tmp_path, capsys):
@@ -250,3 +296,14 @@ class TestFitCommand:
             ["fit", "--config", config_path, "--observations", str(obs)]
         ) == 2
         assert capsys.readouterr().err.startswith("error[config]:")
+
+    @pytest.mark.parametrize("row", ["nan 0.3 0.1", "10 inf 0.1", "10 0.3 nan"])
+    def test_non_finite_observation_exit_code(
+        self, config_path, tmp_path, capsys, row
+    ):
+        obs = tmp_path / "obs.txt"
+        obs.write_text(f"0 0.3 0.1\n{row}\n")
+        assert run(
+            ["fit", "--config", config_path, "--observations", str(obs)]
+        ) == 4
+        assert capsys.readouterr().err.startswith("error[format]:")

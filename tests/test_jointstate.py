@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polentsim.dichroic import SplitterResponse
+from polentsim.calibrate import fit_edge_split, split_edges
+from polentsim.dichroic import SplitterResponse, sample_on_grid
 from polentsim.errors import (
     DegeneratePostSelectionError,
     DomainError,
@@ -17,6 +18,10 @@ from polentsim.jointstate import (
     DegradationModel,
     DelaySweep,
     PolarizationDensityMatrix,
+    _coherence,
+    _cross_path_weights,
+    _interp_complex,
+    _power,
     apply_degradation,
     d_parameter,
     delay_sweep,
@@ -205,6 +210,26 @@ class TestDelaySweep:
         alpha, beta = diagonal_weights(amps)
         assert np.all(sweep.alpha == alpha) and np.all(sweep.beta == beta)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    def test_engine_matches_direct_double_sum(self, n):
+        """2n - 1 = 3, 5, 15, 17 difference terms: 2n - 1 is not a multiple
+        of the block size for n = 2, 3, 9, so the weight table is padded."""
+        rng = np.random.default_rng(40 + n)
+        amps = post_select(random_jsa(rng, n), random_splitter(rng))
+        listed = np.array([3e-13, -5e-12, 0.0, 5e-12, -2.5e-14, 1.7e-12])
+        got = _coherence(amps, listed)
+        direct = np.array([direct_coherence(amps, t) for t in listed])
+        assert np.max(np.abs(got - direct)) < 1e-12
+        for tau in (-5e-12, 25.9e-15, 5e-12):
+            assert d_parameter(amps, tau) == pytest.approx(
+                direct_coherence(amps, tau), abs=1e-12
+            )
+        model = DegradationModel(amplitude_scale=0.7, time_offset=-3e-14)
+        tau = np.sort(listed)
+        sweep = sweep_at(amps, tau, model)
+        direct = np.array([0.7 * direct_coherence(amps, t + 3e-14) for t in tau])
+        assert np.max(np.abs(sweep.d - direct)) < 1e-12
+
     def test_purity_identity_rows(self):
         amps = post_select(build_jsa(MODEL, GRID), SPLIT)
         sweep = delay_sweep(amps, -400e-15, 400e-15, 101)
@@ -327,6 +352,122 @@ class TestDegradation:
         sweep = self._sweep()
         with pytest.raises(UnidentifiableFitError):
             fit_degradation(sweep, [(0.0, 0.0j), (10e-15, 0.0j)])
+
+
+def fit_degradation_loop(sweep, observations, offset_resolution=0.5e-15,
+                         offset_range=None):
+    """Offset-by-offset scan: the reference for the vectorized fit."""
+    obs = list(observations)
+    obs_tau = np.array([t for t, _ in obs], dtype=float)
+    obs_d = np.array([d for _, d in obs], dtype=complex)
+    if offset_range is None:
+        half_span = (sweep.tau[-1] - sweep.tau[0]) / 2.0
+        offset_range = (-half_span, half_span)
+    offsets = np.arange(offset_range[0], offset_range[1], offset_resolution)
+    best = None
+    for t0 in offsets:
+        theory = _interp_complex(obs_tau - t0, sweep.tau, sweep.d)
+        denom = float(np.sum(np.abs(theory) ** 2))
+        if denom == 0.0:
+            continue
+        scale = float(np.real(np.sum(np.conj(theory) * obs_d)) / denom)
+        scale = min(1.0, scale)
+        if scale <= 0.0:
+            continue
+        residual = float(np.sum(np.abs(scale * theory - obs_d) ** 2))
+        if best is None or residual < best[0]:
+            best = (residual, scale, float(t0))
+    if best is None:
+        raise UnidentifiableFitError("no admissible (scale, offset) found")
+    return DegradationModel(amplitude_scale=best[1], time_offset=best[2])
+
+
+class TestFitDegradationOracle:
+    def _sweep(self):
+        amps = post_select(build_jsa(MODEL, GRID), SPLIT)
+        return delay_sweep(amps, -400e-15, 400e-15, 801)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scalar_scan_exactly(self, seed):
+        sweep = self._sweep()
+        rng = np.random.default_rng(seed)
+        count = (2, 3, 9, 20)[seed]
+        tau = rng.uniform(-300e-15, 300e-15, count)
+        d = 0.3 * (rng.normal(size=count) + 1j * rng.normal(size=count))
+        obs = list(zip(tau, d))
+        assert fit_degradation(sweep, obs) == fit_degradation_loop(sweep, obs)
+        window = (-100e-15, 150e-15)
+        assert fit_degradation(sweep, obs, 1e-15, window) == fit_degradation_loop(
+            sweep, obs, 1e-15, window
+        )
+
+    def test_inadmissible_offsets_and_ties(self):
+        """Coherence zero on half the window and a flat plateau elsewhere:
+        offsets that shift the observations onto the zeros have no scale,
+        negative overlaps are skipped, and equal residuals go to the first
+        offset."""
+        tau = np.linspace(-10e-15, 10e-15, 21)
+        d = np.where(tau < 0, 0.0, 0.4 + 0.1j)
+        sweep = DelaySweep(
+            tau=tau, d=d, alpha=np.full(21, 0.5), beta=np.full(21, 0.5),
+            purity=0.5 + 2 * np.abs(d) ** 2, phase=np.angle(d),
+        )
+        for obs in (
+            [(1e-15, 0.2 + 0.05j), (2e-15, 0.2 + 0.05j)],
+            [(1e-15, -0.2 - 0.05j), (6e-15, 0.3 + 0.0j)],
+            [(-3e-15, 0.2 + 0.05j), (4e-15, 0.1 + 0.025j)],
+        ):
+            fit = fit_degradation(sweep, obs)
+            assert fit == fit_degradation_loop(sweep, obs)
+        obs = [(1e-15, 0.2 + 0.05j), (2e-15, 0.2 + 0.05j)]
+        assert fit_degradation(sweep, obs).time_offset == -10e-15  # first tie
+        negative = [(1e-15, -0.2 - 0.05j), (2e-15, -0.2 - 0.05j)]
+        with pytest.raises(UnidentifiableFitError):
+            fit_degradation(sweep, negative)
+        with pytest.raises(UnidentifiableFitError):
+            fit_degradation_loop(sweep, negative)
+
+    def test_rejects_non_finite_observations(self):
+        with pytest.raises(DomainError):
+            fit_degradation(self._sweep(), [(0.0, 0.1 + 0j), (1e-15, np.nan + 0j)])
+
+
+class TestEdgeSplit:
+    TEMPLATE = SplitterResponse(step_width=6e-9)
+
+    def test_root_weights_match_post_selection(self):
+        jsa = build_jsa(MODEL, GRID)
+        power, cell = _power(jsa.amplitude), jsa.grid.cell
+        for split in np.random.default_rng(8).uniform(-10e-9, 10e-9, 8):
+            splitter = split_edges(self.TEMPLATE, split)
+            curves = sample_on_grid(splitter, jsa.grid)
+            alpha, beta, norm = _cross_path_weights(power, curves, cell)
+            amps = post_select(jsa, splitter)
+            assert (alpha, beta) == pytest.approx(diagonal_weights(amps), abs=1e-14)
+            # independent Riemann sums of the post-selected amplitudes
+            w_g = np.sum(np.abs(amps.g) ** 2) * cell
+            w_h = np.sum(np.abs(amps.h) ** 2) * cell
+            assert norm == pytest.approx(w_g + w_h, rel=1e-14)
+            assert alpha == pytest.approx(w_g / (w_g + w_h), abs=1e-14)
+            assert beta == pytest.approx(w_h / (w_g + w_h), abs=1e-14)
+
+    def test_fit_reaches_target(self):
+        jsa = build_jsa(MODEL, GRID)
+        splitter = fit_edge_split(jsa, self.TEMPLATE, 0.55)
+        alpha, _ = diagonal_weights(post_select(jsa, splitter))
+        assert alpha == pytest.approx(0.55, abs=1e-6)
+
+    def test_unreachable_target_rejected(self):
+        with pytest.raises(UnidentifiableFitError):
+            fit_edge_split(build_jsa(MODEL, GRID), self.TEMPLATE, 0.99)
+
+    def test_degenerate_template_rejected(self):
+        # both edges far outside the grid for every split in the bracket
+        template = SplitterResponse(
+            edge_wavelength_h=1400e-9, edge_wavelength_v=1400e-9, step_width=1e-10
+        )
+        with pytest.raises(DegeneratePostSelectionError):
+            fit_edge_split(build_jsa(MODEL, GRID), template, 0.5)
 
 
 class TestSweepRecordInvariants:

@@ -1,11 +1,13 @@
 """Tests for the joint-spectral-amplitude construction."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polentsim import jointstate
+from polentsim import jointstate, spectral
 from polentsim.dichroic import SplitterResponse
 from polentsim.errors import (
     DomainError,
@@ -95,13 +97,15 @@ class TestPumpEnvelope:
 
 
 def _mismatch_reference(model, omega_s, omega_i):
-    """Scalar re-derivation of the first-order wave-vector mismatch."""
-    w0 = 2 * np.pi * C / model.degeneracy_wavelength
-    wp = 2 * np.pi * C / model.pump_center_wavelength
-    k_p = model.group_index_pump * (omega_s + omega_i - wp) / C
-    k_s = model.group_index_signal * (omega_s - w0) / C
-    k_i = model.group_index_idler * (omega_i - w0) / C
-    return k_p - k_s - k_i
+    """Exact rational evaluation of the first-order wave-vector mismatch
+    on the same float inputs, rounded once at the end."""
+    w0 = Fraction(model.omega_degeneracy)
+    wp = Fraction(model.omega_pump_center)
+    ws, wi = Fraction(float(omega_s)), Fraction(float(omega_i))
+    k_p = Fraction(model.group_index_pump) * (ws + wi - wp)
+    k_s = Fraction(model.group_index_signal) * (ws - w0)
+    k_i = Fraction(model.group_index_idler) * (wi - w0)
+    return float((k_p - k_s - k_i) / Fraction(C))
 
 
 class TestPhaseMatching:
@@ -149,6 +153,49 @@ class TestBuildJsa:
         coarse = FrequencyGrid.centered(1535.2e-9, 40e-9, n=8)
         with pytest.raises(ResolutionError):
             build_jsa(MODEL, coarse)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18,
+        reason="long double is not an extended-precision type here",
+    )
+    @pytest.mark.parametrize(
+        "model, grid",
+        [
+            (MODEL, GRID),
+            (
+                PdcModel(pump_bandwidth_fwhm=1.1e-9, crystal_length=2.3e-3),
+                FrequencyGrid(GRID.omega_s_axis[:200], GRID.omega_i_axis[40:]),
+            ),
+        ],
+        ids=["default", "rectangular"],
+    )
+    def test_matches_extended_precision_evaluation(self, model, grid):
+        """The factorized grid evaluation agrees with a long-double
+        evaluation of pump x sinc(dk L/2) exp(i dk L/2) on the same float
+        inputs to 1e-13 of the peak."""
+        ld = np.longdouble
+        ws = grid.omega_s_axis.astype(ld)[:, None]
+        wi = grid.omega_i_axis.astype(ld)[None, :]
+        w0, wp = ld(model.omega_degeneracy), ld(model.omega_pump_center)
+        dk = (
+            ld(model.group_index_pump) * (ws + wi - wp)
+            - ld(model.group_index_signal) * (ws - w0)
+            - ld(model.group_index_idler) * (wi - w0)
+        ) / ld(C)
+        x = dk * ld(model.crystal_length) / 2
+        safe = np.where(x == 0, ld(1), x)
+        sinc = np.where(x == 0, ld(1), np.sin(safe) / safe)
+        u = (ws + wi - wp) / ld(model.pump_bandwidth_omega)
+        envelope = np.exp(-2 * np.log(ld(2)) * u * u) * sinc
+        envelope /= np.sqrt(np.sum(envelope**2) * ld(grid.cell))
+        ref_re, ref_im = envelope * np.cos(x), envelope * np.sin(x)
+
+        jsa = build_jsa(model, grid)
+        err = max(
+            np.max(np.abs(jsa.amplitude.real.astype(ld) - ref_re)),
+            np.max(np.abs(jsa.amplitude.imag.astype(ld) - ref_im)),
+        )
+        assert err <= 1e-13 * np.max(np.abs(envelope))
 
     def test_grid_refinement_convergence(self):
         """alpha, beta, |D(0)| change < 1e-4 relative from n to 2n, n >= 256."""
@@ -258,6 +305,37 @@ class TestJsaFile:
         assert np.allclose(
             back.grid.omega_s_axis, jsa.grid.omega_s_axis, rtol=1e-15
         )
+
+    @pytest.mark.parametrize("block_values", [1, 28, 1 << 16])
+    def test_writer_matches_per_element_reference(
+        self, tmp_path, monkeypatch, block_values
+    ):
+        """Block formatting writes the bytes of one write per value, for
+        blocks of one row, of two rows with a short last block, and of the
+        whole grid; -0.0 and subnormals keep their exact text."""
+        grid = FrequencyGrid(GRID.omega_s_axis[:7], GRID.omega_i_axis[:7])
+        rng = np.random.default_rng(3)
+        amp = 1e-20 * (rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
+        amp[0, 0] = 1.0 / np.sqrt(grid.cell)
+        amp[1, 2] = complex(-0.0, 5e-324)
+        amp[3, 4] = complex(-2.5e-310, -0.0)
+        amp[6, 0] = complex(1e-20 / 3.0, -1e-300)
+        jsa = JsaGrid(grid, amp)
+        monkeypatch.setattr(spectral, "_WRITE_BLOCK_VALUES", block_values)
+        path, ref = tmp_path / "jsa.txt", tmp_path / "ref.txt"
+        write_jsa(path, jsa)
+        with open(ref, "w", encoding="utf-8") as fh:
+            fh.write(
+                "# %d %d %.17g %.17g %.17g %.17g\n"
+                % (7, 7, grid.omega_s_axis[0], grid.d_omega_s,
+                   grid.omega_i_axis[0], grid.d_omega_i)
+            )
+            for row in jsa.amplitude:
+                for val in row:
+                    fh.write("%.17g %.17g\n" % (val.real, val.imag))
+        assert path.read_bytes() == ref.read_bytes()
+        assert b"\n-0 4.9406564584124654e-324\n" in path.read_bytes()
+        assert np.array_equal(read_jsa(path).amplitude.view(float), amp.view(float))
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
