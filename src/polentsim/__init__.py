@@ -39,6 +39,7 @@ from .jointstate import (
     post_select,
     read_density_matrix,
     sweep_at,
+    uniform_delays,
     write_density_matrix,
     write_sweep,
 )

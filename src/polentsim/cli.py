@@ -116,20 +116,15 @@ def cmd_jsa(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     amps = _post_selected(config)
-    model = _degradation(args, config)
     if args.delay_fs:
-        sweep = jointstate.sweep_at(amps, _parse_delays(args.delay_fs), model)
+        taus = _parse_delays(args.delay_fs)
     else:
-        sweep = jointstate.delay_sweep(
-            amps,
+        taus = jointstate.uniform_delays(
             config["tau_min_fs"] * 1e-15,
             config["tau_max_fs"] * 1e-15,
             config["tau_points"],
         )
-        if model is not None:
-            sweep, warning = jointstate.apply_degradation(sweep, model)
-            if warning:
-                sys.stderr.write(f"warning: {warning}\n")
+    sweep = jointstate.sweep_at(amps, taus, _degradation(args, config))
     path = _out_path(config, "sweep.txt")
     jointstate.write_sweep(path, sweep)
     sys.stdout.write("sweep %s rows %d\n" % (path, sweep.tau.size))

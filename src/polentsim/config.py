@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -93,6 +94,8 @@ class RunConfig:
         for key, value in self.values.items():
             if key not in SCHEMA:
                 raise ConfigError(f"unknown configuration key {key!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
             merged[key] = value
         self.values = merged
         for key in _PATH_KEYS:

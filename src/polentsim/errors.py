@@ -34,7 +34,7 @@ class UnidentifiableFitError(SimulationError):
 
 
 class ConvergenceError(SimulationError):
-    """Optimizer hit its iteration cap; carries the best iterate found."""
+    """Iterative fit hit its iteration cap; carries the last iterate."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

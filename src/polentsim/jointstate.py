@@ -250,15 +250,20 @@ def sweep_at(
     return _sweep_from_values(tau, _coherence(amps, tau, model), alpha, beta)
 
 
-def delay_sweep(
-    amps: PostSelectedAmplitudes, tau_min: float, tau_max: float, n: int
-) -> DelaySweep:
-    """Evaluate the coherence on n uniformly spaced delays."""
+def uniform_delays(tau_min: float, tau_max: float, n: int) -> np.ndarray:
+    """n uniformly spaced delays from tau_min to tau_max (s)."""
     if not tau_min < tau_max:
         raise DomainError("need tau_min < tau_max")
     if n < 2:
         raise DomainError("need at least 2 sweep samples")
-    return sweep_at(amps, np.linspace(tau_min, tau_max, n))
+    return np.linspace(tau_min, tau_max, n)
+
+
+def delay_sweep(
+    amps: PostSelectedAmplitudes, tau_min: float, tau_max: float, n: int
+) -> DelaySweep:
+    """Evaluate the coherence on n uniformly spaced delays."""
+    return sweep_at(amps, uniform_delays(tau_min, tau_max, n))
 
 
 @dataclass(frozen=True)

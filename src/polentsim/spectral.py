@@ -445,11 +445,19 @@ def read_jsa(path) -> JsaGrid:
         parts = header[1:].split()
         if len(parts) != 6:
             raise FormatError("JSA header needs 6 fields")
-        n_s, n_i = int(parts[0]), int(parts[1])
-        s_min, s_step, i_min, i_step = map(float, parts[2:])
+        try:
+            n_s, n_i = int(parts[0]), int(parts[1])
+            s_min, s_step, i_min, i_step = map(float, parts[2:])
+        except ValueError as exc:
+            raise FormatError(f"JSA header: {exc}") from exc
         if (n_s, s_min, s_step) != (n_i, i_min, i_step):
             raise FormatError("JSA signal and idler axes must be identical")
-        values = np.loadtxt(fh, dtype=float, ndmin=2)
+        if n_s < 1:
+            raise FormatError("JSA point count must be positive")
+        try:
+            values = np.loadtxt(fh, dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise FormatError(f"JSA table: {exc}") from exc
     if values.shape != (n_s * n_i, 2):
         raise FormatError(
             f"expected {n_s * n_i} complex rows, found {values.shape[0]}"

@@ -2,9 +2,11 @@
 
 The state is projected onto all 36 ordered pairs of the six single-qubit
 polarization states.  Counts follow Poisson statistics on top of a flat
-accidental rate estimated from the singles; reconstruction is linear
-inversion followed by a maximum-likelihood fit over a Cholesky-style
-parameterization, which is physical by construction.
+accidental rate estimated from the singles.  Reconstruction starts from
+linear inversion and iterates Hradil's fixed point rho <- R rho R / Tr(R rho R),
+with R = sum_k f_k P_k / Tr(P_k rho) over the observed count fractions f_k.
+The 36 projectors sum to 9 I, so the fixed point is the Poisson
+maximum-likelihood state and every iterate is physical by construction.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     ConvergenceError,
@@ -41,6 +42,8 @@ BASIS_ORDER = ("H", "V", "Dp", "Dm", "R", "L")
 #: Canonical ordering of the 36 projection settings.
 PROJECTION_PAIRS = tuple((a, b) for a in BASIS_ORDER for b in BASIS_ORDER)
 
+_PAIR_INDEX = {pair: k for k, pair in enumerate(PROJECTION_PAIRS)}
+
 #: Complementary partner within each analysis basis.
 _PARTNER = {"H": "V", "V": "H", "Dp": "Dm", "Dm": "Dp", "R": "L", "L": "R"}
 
@@ -61,21 +64,19 @@ def projector(basis_a: str, basis_b: str) -> np.ndarray:
     return np.kron(np.outer(ket_a, ket_a.conj()), np.outer(ket_b, ket_b.conj()))
 
 
-_PROJECTORS = None
+_PROJECTORS = np.array([projector(a, b) for a, b in PROJECTION_PAIRS])
+_PROJECTORS.flags.writeable = False
 
 
 def projector_stack() -> np.ndarray:
-    """All 36 projectors as a (36, 4, 4) array in canonical order."""
-    global _PROJECTORS
-    if _PROJECTORS is None:
-        _PROJECTORS = np.array([projector(a, b) for a, b in PROJECTION_PAIRS])
+    """All 36 projectors as a read-only (36, 4, 4) array in canonical order."""
     return _PROJECTORS
 
 
 def projection_probabilities(rho) -> np.ndarray:
     """Tr(P_nu rho) for every projection, canonical order."""
     rho = rho.elements if isinstance(rho, PolarizationDensityMatrix) else rho
-    return np.real(np.einsum("nij,ji->n", projector_stack(), rho))
+    return np.real(np.einsum("nij,ji->n", _PROJECTORS, rho))
 
 
 @dataclass(frozen=True)
@@ -130,10 +131,9 @@ class CountTable:
         return np.array([r.accidentals for r in self.records], dtype=float)
 
     def get(self, basis_a: str, basis_b: str) -> CountRecord:
-        idx = PROJECTION_PAIRS.index(
-            (canonical_label(basis_a), canonical_label(basis_b))
-        )
-        return self.records[idx]
+        return self.records[
+            _PAIR_INDEX[(canonical_label(basis_a), canonical_label(basis_b))]
+        ]
 
 
 def expected_rates(
@@ -152,9 +152,7 @@ def expected_rates(
 def calibrate_pair_rate(rho, target_cross_rate: float = 4.0) -> float:
     """Pair rate making the larger of the (H,V)/(V,H) rates hit the target."""
     probs = projection_probabilities(rho)
-    idx_hv = PROJECTION_PAIRS.index(("H", "V"))
-    idx_vh = PROJECTION_PAIRS.index(("V", "H"))
-    peak = max(probs[idx_hv], probs[idx_vh])
+    peak = max(probs[_PAIR_INDEX["H", "V"]], probs[_PAIR_INDEX["V", "H"]])
     if peak <= 0:
         raise DomainError("state has no cross-polarized coincidence probability")
     return target_cross_rate / peak
@@ -242,30 +240,11 @@ def _hermitian_basis() -> np.ndarray:
     return np.array(ops)
 
 
-_BASIS = None
-_DESIGN = None
-
-
-def _design_matrix() -> np.ndarray:
-    """(36, 16) map from Hermitian parameters to projection values."""
-    global _BASIS, _DESIGN
-    if _DESIGN is None:
-        _BASIS = _hermitian_basis()
-        _DESIGN = np.real(np.einsum("nij,mji->nm", projector_stack(), _BASIS))
-    return _DESIGN
-
-
-def _estimate_intensity(values: np.ndarray) -> float:
-    """Total-intensity estimate: mean of the nine complete setting groups."""
-    groups = []
-    for fam_a in _FAMILIES.values():
-        for fam_b in _FAMILIES.values():
-            total = 0.0
-            for a in fam_a:
-                for b in fam_b:
-                    total += values[PROJECTION_PAIRS.index((a, b))]
-            groups.append(total)
-    return float(np.mean(groups))
+_BASIS = _hermitian_basis()
+_BASIS.flags.writeable = False
+#: (36, 16) map from Hermitian-basis coefficients to projection values.
+_DESIGN = np.real(np.einsum("nij,mji->nm", _PROJECTORS, _BASIS))
+_DESIGN.flags.writeable = False
 
 
 def linear_inversion(corrected) -> np.ndarray:
@@ -277,33 +256,13 @@ def linear_inversion(corrected) -> np.ndarray:
     values = np.asarray(corrected, dtype=float)
     if values.shape != (36,):
         raise DomainError("need 36 corrected projection values")
-    design = _design_matrix()
-    if np.linalg.matrix_rank(design) != 16:  # fixed projection set; cannot happen
-        raise AssertionError("projection design matrix is rank deficient")
-    intensity = _estimate_intensity(values)
-    if intensity <= 0:
+    total = values.sum()
+    if not total > 0:
         raise DomainError("projection data carry no counts")
-    theta, *_ = np.linalg.lstsq(design, values / intensity, rcond=None)
+    theta, *_ = np.linalg.lstsq(_DESIGN, values / total, rcond=None)
     rho = np.tensordot(theta, _BASIS, axes=(0, 0))
     rho /= np.trace(rho).real
     return rho
-
-
-def _params_to_matrix(t: np.ndarray) -> np.ndarray:
-    tri = np.zeros((4, 4), dtype=complex)
-    tri[np.diag_indices(4)] = t[:4]
-    for k, (r, c) in enumerate(_OFFDIAG):
-        tri[c, r] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
-    return tri
-
-
-def _matrix_to_params(tri: np.ndarray) -> np.ndarray:
-    t = np.zeros(16)
-    t[:4] = np.real(np.diag(tri))
-    for k, (r, c) in enumerate(_OFFDIAG):
-        t[4 + 2 * k] = tri[c, r].real
-        t[5 + 2 * k] = tri[c, r].imag
-    return t
 
 
 def _physical_projection(rho: np.ndarray) -> np.ndarray:
@@ -316,14 +275,19 @@ def _physical_projection(rho: np.ndarray) -> np.ndarray:
 
 def mle_reconstruct(
     corrected,
-    init: np.ndarray | None = None,
     max_iter: int = 10_000,
     tol: float = 1e-10,
 ) -> PolarizationDensityMatrix:
     """Maximum-likelihood density matrix from corrected projection counts.
 
-    Gaussian-approximated Poisson objective, jointly optimized over the
-    16 Cholesky parameters and the (log of the) total intensity.
+    Values are clamped at 0; f_k = n_k / sum(n) over the settings with
+    n_k > 0.  Starting from the eigenvalue-floored linear inversion, each
+    step sets rho <- R rho R / Tr(R rho R) with R = sum_k f_k P_k / Tr(P_k rho)
+    and symmetrizes.  Because the projectors sum to 9 I, the fixed point
+    R rho = rho maximizes the Poisson log-likelihood sum_k f_k log Tr(P_k rho).
+    The iteration stops once a step gains less than ``tol`` times the
+    log-likelihood's magnitude; after ``max_iter`` steps without that it
+    raises :class:`ConvergenceError` carrying the last iterate as ``best``.
     """
     values = np.maximum(0.0, np.asarray(corrected, dtype=float))
     if values.shape != (36,):
@@ -331,43 +295,26 @@ def mle_reconstruct(
     if not np.any(values > 0):
         raise DomainError("need at least one positive projection value")
 
-    if init is None:
-        init = linear_inversion(values)
-    rho0 = _physical_projection(np.asarray(init, dtype=complex))
-    # lower-triangular factor with T^dag T = rho0 (flip, Cholesky, flip back)
-    flip = np.eye(4)[::-1]
-    lower = np.linalg.cholesky(flip @ rho0 @ flip)
-    t0 = _matrix_to_params(flip @ lower.conj().T @ flip)
-    log_i0 = np.log(_estimate_intensity(values))
-    x0 = np.concatenate([t0, [log_i0]])
-
-    stack = projector_stack()
-
-    def unpack(x):
-        tri = _params_to_matrix(x[:16])
-        gram = tri.conj().T @ tri
-        return gram / np.trace(gram).real, np.exp(x[16])
-
-    def objective(x):
-        rho, intensity = unpack(x)
-        mu = intensity * np.real(np.einsum("nij,ji->n", stack, rho))
-        return float(np.sum((mu - values) ** 2 / (2.0 * np.maximum(mu, 1.0))))
-
-    result = minimize(
-        objective,
-        x0,
-        method="L-BFGS-B",
-        options={"ftol": tol, "gtol": 0.0, "maxiter": max_iter, "maxfun": 10 * max_iter},
+    observed = values > 0
+    freqs = values[observed] / values.sum()
+    # Tr(P_k rho) = vec(P_k) . vec(rho^T); R = sum_k w_k P_k
+    flat = _PROJECTORS[observed].reshape(-1, 16)
+    rho = _physical_projection(linear_inversion(values))
+    probs = np.real(flat @ rho.T.ravel())
+    log_l = freqs @ np.log(probs)
+    for _ in range(max_iter):
+        r = ((freqs / probs) @ flat).reshape(4, 4)
+        rho = r @ rho @ r
+        rho = (rho + rho.conj().T) / 2.0
+        rho /= np.trace(rho).real
+        probs = np.real(flat @ rho.T.ravel())
+        previous, log_l = log_l, freqs @ np.log(probs)
+        if log_l - previous <= tol * abs(log_l):
+            return PolarizationDensityMatrix(rho)
+    raise ConvergenceError(
+        f"likelihood fit did not converge in {max_iter} iterations",
+        best=PolarizationDensityMatrix(rho),
     )
-    rho, _ = unpack(result.x)
-    rho = (rho + rho.conj().T) / 2.0
-    rho /= np.trace(rho).real
-    if result.status == 1:  # iteration/function cap reached
-        raise ConvergenceError(
-            f"likelihood fit did not converge: {result.message}",
-            best=PolarizationDensityMatrix(rho),
-        )
-    return PolarizationDensityMatrix(rho)
 
 
 def visibility(corrected, family: str) -> float:
@@ -383,7 +330,7 @@ def visibility(corrected, family: str) -> float:
     if values.shape != (36,):
         raise DomainError("need 36 corrected projection values")
     quad = {
-        (a, b): values[PROJECTION_PAIRS.index((a, b))]
+        (a, b): values[_PAIR_INDEX[a, b]]
         for a in labels
         for b in labels
     }

@@ -124,27 +124,65 @@ class TestSweepCommand:
         assert rows.shape == (3, 8)
         assert np.allclose(rows[:, 0], [-25.9, 0.0, 25.9])
 
-    def test_listed_delays_match_uniform_sweep(self, tmp_path):
+    @staticmethod
+    def _uniform_and_listed(tmp_path, extra):
+        """Rows of a uniform sweep and of the same delays listed."""
         config = tmp_path / "small.cfg"
         config.write_text(
             CONFIG_TEXT
             + "tau_min_fs = -200\ntau_max_fs = 250\ntau_points = 10\n"
         )
         out_u, out_l = tmp_path / "uniform", tmp_path / "listed"
-        assert run(["sweep", "--config", str(config), "--out", str(out_u)]) == 0
+        assert run(
+            ["sweep", "--config", str(config), "--out", str(out_u), *extra]
+        ) == 0
         uniform = np.loadtxt(out_u / "sweep.txt")
         delays = ",".join("%.17g" % t for t in uniform[::-1, 0])
         assert run(
             ["sweep", "--config", str(config), "--out", str(out_l),
-             f"--delay-fs={delays}"]
+             f"--delay-fs={delays}", *extra]
         ) == 0
         listed = np.loadtxt(out_l / "sweep.txt")
         assert listed.shape == uniform.shape
+        return uniform, listed
+
+    def test_listed_delays_match_uniform_sweep(self, tmp_path):
+        uniform, listed = self._uniform_and_listed(tmp_path, [])
         # the window is wide enough that the principal value would wrap
         assert np.abs(uniform[:, 7]).max() > np.pi
         # re_D, im_D and the anchored, unwrapped phase_rad
         for col in (1, 2, 7):
             assert np.max(np.abs(listed[:, col] - uniform[:, col])) < 1e-12
+
+    def test_degraded_listed_delays_match_uniform_sweep(self, tmp_path, capsys):
+        # the offset shifts past the grid edge, where an interpolated
+        # sweep would have to hold its boundary value
+        uniform, listed = self._uniform_and_listed(
+            tmp_path, ["--degrade", "0.76,21.5"]
+        )
+        assert capsys.readouterr().err == ""
+        for col in range(8):
+            assert np.max(np.abs(listed[:, col] - uniform[:, col])) < 1e-12
+
+    @pytest.mark.parametrize(
+        "header, body",
+        [("2 2 1 1 1 1", ["0 abc"] + ["0 0"] * 3),
+         ("x 2 1 1 1 1", ["0 0"] * 4),
+         ("-2 -2 1 1 1 1", ["0 0"] * 4)],
+        ids=["body-value", "header-count", "negative-count"],
+    )
+    def test_non_numeric_jsa_file_exit_code(
+        self, tmp_path, capsys, header, body
+    ):
+        jsa = tmp_path / "jsa.txt"
+        jsa.write_text("# " + header + "\n" + "\n".join(body) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT + f"jsa_file = {jsa}\n")
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[format]:")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("delays", ["1,abc", "1,,2", "0,nan"])
     def test_bad_delay_list(self, config_path, capsys, delays):
@@ -217,6 +255,32 @@ class TestTomoCommands:
         assert err.startswith("error[format]:")
         pair = dropped.split()[:2]
         assert f"{pair[0]},{pair[1]}" in err
+
+    @pytest.mark.parametrize(
+        "config_line, flags",
+        [("delay_fs = nan", []),
+         ("acquisition_s = nan", []),
+         ("singles_rate_hz = inf", []),
+         ("background_b = nan", []),
+         ("", ["--background", "nan"])],
+        ids=["delay_fs", "acquisition_s", "singles_rate_hz", "background_b",
+             "background-flag"],
+    )
+    def test_simulate_non_finite_config_exit_code(
+        self, tmp_path, capsys, config_line, flags
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + config_line + "\n")
+        out = tmp_path / "out"
+        code = run(
+            ["tomo", "simulate", "--config", str(cfg), "--out", str(out), *flags]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[config]:")
+        assert len(captured.err.splitlines()) == 1
+        assert not (out / "counts.txt").exists()
 
     @pytest.mark.parametrize(
         "header",

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polentsim.errors import DomainError, FormatError, UndefinedVisibilityError
+from polentsim.errors import (
+    ConvergenceError,
+    DomainError,
+    FormatError,
+    UndefinedVisibilityError,
+)
 from polentsim.jointstate import PolarizationDensityMatrix, density_matrix
 from polentsim.metrics import fidelity
 from polentsim.tomography import (
+    _DESIGN,
     BASIS_KETS,
     PROJECTION_PAIRS,
     CountRecord,
@@ -23,6 +29,7 @@ from polentsim.tomography import (
     mle_reconstruct,
     projection_probabilities,
     projector,
+    projector_stack,
     read_count_table,
     sample_counts,
     subtract_accidentals,
@@ -31,6 +38,34 @@ from polentsim.tomography import (
 )
 
 BELL = density_matrix(0.5, 0.5, 0.5)  # (|HV> + |VH>)/sqrt(2)
+
+# The calibrated, degraded model state at 25.9 fs with the acceptance
+# background, rates and acquisition time (criterion 08).
+C08_TRUTH = mix_background(
+    density_matrix(0.5474, 0.4526, 0.3393 + 0.1287j), 0.0125
+)
+
+
+def c08_corrected(seed: int) -> np.ndarray:
+    means = expected_rates(
+        C08_TRUTH, calibrate_pair_rate(C08_TRUTH, 4.0), 870.0**2 / 1.9e6, 120.0
+    )
+    table = sample_counts(
+        means, seed=seed, acquisition_time=120.0, gate_rate=1.9e6,
+        singles_rate=870.0,
+    )
+    return subtract_accidentals(attach_accidentals(table))
+
+
+def stationarity_gap(corrected, rho) -> float:
+    """lambda_max(R) - 1 at rho; it is 0 at the Poisson likelihood maximum
+    and bounds the log-likelihood gap to it."""
+    observed = corrected > 0
+    freqs = corrected[observed] / corrected.sum()
+    stack = projector_stack()[observed]
+    probs = np.real(np.einsum("nij,ji->n", stack, rho))
+    r = np.tensordot(freqs / probs, stack, axes=1)
+    return float(np.linalg.eigvalsh(r).max() - 1.0)
 
 
 def random_state(rng) -> PolarizationDensityMatrix:
@@ -61,6 +96,15 @@ class TestProjectors:
         assert canonical_label("D-") == "Dm"
         with pytest.raises(DomainError):
             canonical_label("Q")
+
+    def test_projectors_sum_to_nine_identity(self):
+        stack = projector_stack()
+        assert not stack.flags.writeable
+        assert np.allclose(stack.sum(axis=0), 9.0 * np.eye(4), atol=1e-14)
+
+    def test_design_matrix_has_full_rank(self):
+        assert _DESIGN.shape == (36, 16)
+        assert np.linalg.matrix_rank(_DESIGN) == 16
 
     def test_bell_state_probabilities(self):
         probs = dict(zip(PROJECTION_PAIRS, projection_probabilities(BELL)))
@@ -175,6 +219,22 @@ class TestMle:
     def test_rejects_all_zero(self):
         with pytest.raises(DomainError):
             mle_reconstruct(np.zeros(36))
+
+    def test_stationary_on_counting_statistics(self):
+        gaps = []
+        for seed in range(20):
+            corrected = c08_corrected(seed)
+            est = mle_reconstruct(corrected)
+            gaps.append(stationarity_gap(corrected, est.elements))
+        assert np.median(gaps) <= 1e-4
+
+    def test_iteration_cap_raises_with_best_state(self):
+        with pytest.raises(ConvergenceError) as info:
+            mle_reconstruct(c08_corrected(0), max_iter=1)
+        best = info.value.best
+        assert isinstance(best, PolarizationDensityMatrix)
+        assert np.linalg.eigvalsh(best.elements).min() >= -1e-10
+        assert np.trace(best.elements).real == pytest.approx(1.0)
 
 
 class TestVisibility:
