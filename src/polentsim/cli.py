@@ -17,9 +17,15 @@ import numpy as np
 
 from . import jointstate, metrics, spectral, tomography
 from .config import RunConfig
-from .errors import ConfigError, DomainError, FormatError, SimulationError
+from .errors import (
+    ConfigError,
+    DomainError,
+    FormatError,
+    ResolutionError,
+    SimulationError,
+)
 
-_CONFIG_ERRORS = (ConfigError, DomainError)
+_CONFIG_ERRORS = (ConfigError, DomainError, ResolutionError)
 
 
 def _error_category(exc: SimulationError):
@@ -85,12 +91,8 @@ def _degradation(args, config: RunConfig):
 def _build_jsa(config: RunConfig) -> spectral.JsaGrid:
     if config["jsa_file"]:
         return spectral.read_jsa(config["jsa_file"])
-    jsa = spectral.build_jsa(config.pdc_model(), config.grid())
-    return spectral.apply_bandpass(
-        jsa,
-        config["filter_center_nm"] * 1e-9,
-        config["filter_width_nm"] * 1e-9,
-    )
+    # the grid spans the filter window, so the build is the filtered JSA
+    return spectral.build_jsa(config.pdc_model(), config.grid())
 
 
 def _post_selected(config: RunConfig) -> jointstate.PostSelectedAmplitudes:
@@ -101,12 +103,6 @@ def cmd_jsa(args) -> int:
     config = _load_config(args)
     jsa = _build_jsa(config)
     spectral.write_jsa(_out_path(config, "jsa.txt"), jsa)
-    np.savetxt(
-        _out_path(config, "jsa_abs.txt"),
-        np.abs(jsa.amplitude),
-        fmt="%.17g",
-        header="|f| magnitude grid, signal rows x idler columns",
-    )
     amps = jointstate.post_select(jsa, config.splitter())
     sys.stdout.write("discarded_fraction %.12g\n" % jsa.discarded_fraction)
     sys.stdout.write("neglected_fraction %.12g\n" % amps.neglected_fraction)
@@ -143,6 +139,8 @@ def _model_state(config: RunConfig, model) -> jointstate.PolarizationDensityMatr
 
 def cmd_tomo_simulate(args) -> int:
     config = _load_config(args)
+    if not config["gate_rate_hz"] > 0:
+        raise ConfigError("gate_rate_hz must be positive")
     rho = _model_state(config, _degradation(args, config))
     jointstate.write_density_matrix(_out_path(config, "model_matrix.txt"), rho)
     pair_rate = config["pair_rate_hz"]
@@ -150,7 +148,8 @@ def cmd_tomo_simulate(args) -> int:
         pair_rate = tomography.calibrate_pair_rate(
             rho, config["coincidence_rate_hz"]
         )
-    accidental_rate = config["singles_rate_hz"] ** 2 / config["gate_rate_hz"]
+    singles_rate = config["singles_rate_hz"]
+    accidental_rate = singles_rate * singles_rate / config["gate_rate_hz"]
     means = tomography.expected_rates(
         rho, pair_rate, accidental_rate, config["acquisition_s"]
     )
@@ -159,7 +158,7 @@ def cmd_tomo_simulate(args) -> int:
         seed=config["seed"],
         acquisition_time=config["acquisition_s"],
         gate_rate=config["gate_rate_hz"],
-        singles_rate=config["singles_rate_hz"],
+        singles_rate=singles_rate,
     )
     path = _out_path(config, "counts.txt")
     tomography.write_count_table(path, table)
@@ -234,13 +233,10 @@ def cmd_fit(args) -> int:
         config["tau_points"],
     )
     model = jointstate.fit_degradation(sweep, observations)
-    degraded, _ = jointstate.apply_degradation(sweep, model)
     sys.stdout.write("amplitude_scale %.12g\n" % model.amplitude_scale)
     sys.stdout.write("time_offset_fs %.12g\n" % (model.time_offset * 1e15))
     for tau, observed in observations:
-        predicted = np.interp(tau, degraded.tau, degraded.d.real) + 1j * np.interp(
-            tau, degraded.tau, degraded.d.imag
-        )
+        predicted = jointstate.d_parameter(amps, tau, model)
         sys.stdout.write(
             "residual tau_fs %.6g re %.6g im %.6g\n"
             % (tau * 1e15, predicted.real - observed.real, predicted.imag - observed.imag)

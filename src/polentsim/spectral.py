@@ -303,9 +303,13 @@ def _grid_factors(model: PdcModel, axis_s, axis_i):
 def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
     """Evaluate pump x phase-matching on the grid and normalize.
 
-    The discarded-norm fraction reports how much of the (unnormalized)
-    amplitude falls outside the grid window, estimated on a window twice
-    as wide at the same point count.
+    The discarded-norm fraction is the share of the whole plane's norm
+    that falls outside the grid window.  |f|^2 = G(sigma)^2 sinc^2(x) with
+    sigma = omega_s + omega_i and x = dk L/2 both linear in the two
+    frequencies, so that norm is dw_p sqrt(pi / (4 ln 2)) pi / |J|, with
+    dw_p the pump intensity FWHM and J = (L / 2c)(n_gs - n_gi).  With equal
+    signal and idler group indices (J = 0) the sinc^2 ridge never ends and
+    the fraction is its limit, exactly 1.
     """
     step = max(grid.d_omega_s, grid.d_omega_i)
     if model.pump_bandwidth_omega / (2.0 * step) < 8.0:
@@ -317,21 +321,17 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
         model, grid.omega_s_axis, grid.omega_i_axis
     )
     norm_in = _riemann_power(envelope, grid.cell)
-
-    # clipping estimate on a doubled window, same number of points; the
-    # unit-modulus phase does not enter |f|^2
-    def _wide(axis):
-        span = axis[-1] - axis[0]
-        step = 2.0 * span / axis.size
-        lo = axis[0] - span / 2.0
-        return lo + (np.arange(axis.size) + 0.5) * step, step
-
-    ws_w, ds_w = _wide(grid.omega_s_axis)
-    wi_w, di_w = _wide(grid.omega_i_axis)
-    norm_wide = _riemann_power(_grid_factors(model, ws_w, wi_w)[0], ds_w * di_w)
-    discarded = max(0.0, 1.0 - norm_in / norm_wide) if norm_wide > 0 else 0.0
     if not norm_in > 0:
         raise EmptySupportError("amplitude has zero norm on this grid")
+    # norm_in / (whole-plane norm), written as a product so that J = 0
+    # gives the limit 1 without a division
+    j = model.crystal_length / (2.0 * C) * (
+        model.group_index_signal - model.group_index_idler
+    )
+    kept = norm_in * abs(j) / (
+        model.pump_bandwidth_omega * np.sqrt(np.pi / (4.0 * np.log(2.0))) * np.pi
+    )
+    discarded = max(0.0, 1.0 - float(kept))
     envelope /= np.sqrt(norm_in)
     amplitude = np.outer(phase_s, phase_i)
     amplitude *= envelope

@@ -109,6 +109,10 @@ class CountTable:
     gate_rate: float = 1.9e6
 
     def __post_init__(self):
+        for name in ("acquisition_time", "gate_rate"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be positive and finite")
         recs = tuple(self.records)
         pairs = [(r.basis_a, r.basis_b) for r in recs]
         missing = [p for p in PROJECTION_PAIRS if p not in pairs]
@@ -171,9 +175,14 @@ def sample_counts(
         raise DomainError("need 36 per-projection means")
     if np.any(means < 0):
         raise DomainError("means must be non-negative")
+    if singles_rate < 0:
+        raise DomainError("singles rate must be non-negative")
     rng = np.random.default_rng(seed)
-    coincidences = rng.poisson(means)
-    singles = rng.poisson(singles_rate * acquisition_time, size=(36, 2))
+    try:
+        coincidences = rng.poisson(means)
+        singles = rng.poisson(singles_rate * acquisition_time, size=(36, 2))
+    except ValueError as exc:
+        raise DomainError(f"cannot draw Poisson counts: {exc}") from exc
     records = [
         CountRecord(
             basis_a=a,
@@ -219,39 +228,31 @@ def subtract_accidentals(table: CountTable) -> np.ndarray:
     return np.maximum(0.0, table.coincidence_array() - table.accidental_array())
 
 
-# Hermitian operator basis: 4 diagonal units, then re/im pairs per off-diagonal.
-_OFFDIAG = [(r, c) for r in range(4) for c in range(r + 1, 4)]
+def _dual_frame() -> np.ndarray:
+    """Canonical dual of the 36 projectors: (A_k - I/3) (x) (B_k - I/3).
+
+    For the six single-qubit states, sum_k |k><k| Tr(|k><k| X) = X + Tr(X) I,
+    whose inverse is X -> X - Tr(X) I / 3; the two-qubit frame operator is
+    the tensor square, so X = sum_k Tr(P_k X) Q_k for every operator X.
+    """
+    third = np.eye(2) / 3.0
+    singles = {
+        label: np.outer(ket, ket.conj()) - third for label, ket in BASIS_KETS.items()
+    }
+    return np.array([np.kron(singles[a], singles[b]) for a, b in PROJECTION_PAIRS])
 
 
-def _hermitian_basis() -> np.ndarray:
-    ops = []
-    for k in range(4):
-        op = np.zeros((4, 4), dtype=complex)
-        op[k, k] = 1.0
-        ops.append(op)
-    for r, c in _OFFDIAG:
-        op = np.zeros((4, 4), dtype=complex)
-        op[r, c] = op[c, r] = 1.0
-        ops.append(op)
-        op = np.zeros((4, 4), dtype=complex)
-        op[r, c] = -1j
-        op[c, r] = 1j
-        ops.append(op)
-    return np.array(ops)
-
-
-_BASIS = _hermitian_basis()
-_BASIS.flags.writeable = False
-#: (36, 16) map from Hermitian-basis coefficients to projection values.
-_DESIGN = np.real(np.einsum("nij,mji->nm", _PROJECTORS, _BASIS))
-_DESIGN.flags.writeable = False
+_DUAL = _dual_frame()
+_DUAL.flags.writeable = False
 
 
 def linear_inversion(corrected) -> np.ndarray:
-    """Direct least-squares inversion of the projection data.
+    """Least-squares inversion of the projection data by the dual frame.
 
-    Returns a Hermitian, unit-trace matrix that may have negative
-    eigenvalues when the data are noisy.
+    The 36 probabilities Tr(P_k rho) sum to 9, so the state is
+    9 sum_k f_k Q_k with f_k the count fractions.  Returns a Hermitian,
+    unit-trace matrix that may have negative eigenvalues when the data
+    are noisy.
     """
     values = np.asarray(corrected, dtype=float)
     if values.shape != (36,):
@@ -259,10 +260,7 @@ def linear_inversion(corrected) -> np.ndarray:
     total = values.sum()
     if not total > 0:
         raise DomainError("projection data carry no counts")
-    theta, *_ = np.linalg.lstsq(_DESIGN, values / total, rcond=None)
-    rho = np.tensordot(theta, _BASIS, axes=(0, 0))
-    rho /= np.trace(rho).real
-    return rho
+    return np.tensordot(9.0 * values / total, _DUAL, axes=(0, 0))
 
 
 def _physical_projection(rho: np.ndarray) -> np.ndarray:

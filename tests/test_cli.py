@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from polentsim import metrics
+from polentsim import jointstate, metrics
 from polentsim.cli import main
+from polentsim.config import RunConfig
 from polentsim.jointstate import read_density_matrix
-from polentsim.spectral import read_jsa
+from polentsim.spectral import (
+    C,
+    build_jsa,
+    phase_matching,
+    pump_envelope,
+    read_jsa,
+)
 from polentsim.tomography import read_count_table
 
 CONFIG_TEXT = (
@@ -38,7 +45,22 @@ class TestJsaCommand:
         report = dict(
             line.split() for line in capsys.readouterr().out.splitlines()
         )
-        assert float(report["discarded_fraction"]) < 0.05
+        # Riemann norm in the window over the whole-plane closed form
+        # dw_p sqrt(pi / (4 ln 2)) pi / |J|, J = (L / 2c)(n_gs - n_gi)
+        model = RunConfig.load(config_path).pdc_model()
+        ws = jsa.grid.omega_s_axis[:, None]
+        wi = jsa.grid.omega_i_axis[None, :]
+        amp = pump_envelope(model, ws + wi) * phase_matching(model, ws, wi)
+        kept = np.sum(np.abs(amp) ** 2) * jsa.grid.cell
+        j = model.crystal_length / (2 * C) * (
+            model.group_index_signal - model.group_index_idler
+        )
+        plane = model.pump_bandwidth_omega * np.sqrt(np.pi / (4 * np.log(2)))
+        plane *= np.pi / abs(j)
+        assert float(report["discarded_fraction"]) == pytest.approx(
+            1 - kept / plane, abs=1e-9
+        )
+        assert not (out / "jsa_abs.txt").exists()
 
     def test_import_round_trip_bit_exact(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -283,6 +305,28 @@ class TestTomoCommands:
         assert not (out / "counts.txt").exists()
 
     @pytest.mark.parametrize(
+        "config_line",
+        ["singles_rate_hz = 1e30", "coincidence_rate_hz = 1e300",
+         "singles_rate_hz = -870", "gate_rate_hz = 0", "acquisition_s = 0",
+         "grid_points = 8"],
+        ids=["singles-huge", "coincidence-huge", "singles-negative",
+             "gate-zero", "acquisition-zero", "grid-too-coarse"],
+    )
+    def test_simulate_out_of_range_config_exit_code(
+        self, tmp_path, capsys, config_line
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + config_line + "\n")
+        out = tmp_path / "out"
+        code = run(["tomo", "simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[config]:")
+        assert len(captured.err.splitlines()) == 1
+        assert not (out / "counts.txt").exists()
+
+    @pytest.mark.parametrize(
         "header",
         ["0 1900000", "120 0", "-120 1900000", "nan 1900000", "inf 1900000",
          "120 nan", "120 inf", "120 fast"],
@@ -352,6 +396,44 @@ class TestFitCommand:
                 report[parts[0]] = float(parts[1])
         assert report["amplitude_scale"] == pytest.approx(0.8, abs=0.01)
         assert report["time_offset_fs"] == pytest.approx(20.0, abs=0.5)
+
+    def test_residuals_are_exact(self, config_path, tmp_path, capsys):
+        """Each printed residual is s D(tau - t0) minus the observation to
+        the printed precision, for unsorted and repeated delays."""
+        config = RunConfig.load(config_path)
+        amps = jointstate.post_select(
+            build_jsa(config.pdc_model(), config.grid()), config.splitter()
+        )
+        truth = jointstate.DegradationModel(
+            amplitude_scale=0.8, time_offset=20.3e-15
+        )
+        taus_fs = [45.0, -30.0, 13.7, 45.0]
+        observed = [
+            jointstate.d_parameter(amps, tau * 1e-15, truth) + complex(0.01 * k, -0.02)
+            for k, tau in enumerate(taus_fs)
+        ]
+        obs = tmp_path / "obs.txt"
+        obs.write_text(
+            "".join(
+                "%.17g %.17g %.17g\n" % (tau, d.real, d.imag)
+                for tau, d in zip(taus_fs, observed)
+            )
+        )
+        assert run(
+            ["fit", "--config", config_path, "--observations", str(obs)]
+        ) == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        report = {parts[0]: float(parts[1]) for parts in lines if len(parts) == 2}
+        fitted = jointstate.DegradationModel(
+            amplitude_scale=report["amplitude_scale"],
+            time_offset=report["time_offset_fs"] * 1e-15,
+        )
+        residuals = [parts for parts in lines if parts[0] == "residual"]
+        assert [float(parts[2]) for parts in residuals] == taus_fs
+        for parts, tau, d in zip(residuals, taus_fs, observed):
+            exact = jointstate.d_parameter(amps, tau * 1e-15, fitted) - d
+            assert float(parts[4]) == pytest.approx(exact.real, rel=1e-5, abs=1e-9)
+            assert float(parts[6]) == pytest.approx(exact.imag, rel=1e-5, abs=1e-9)
 
     def test_too_few_rows_is_usage_error(self, config_path, tmp_path, capsys):
         obs = tmp_path / "obs.txt"

@@ -197,6 +197,32 @@ class TestBuildJsa:
         )
         assert err <= 1e-13 * np.max(np.abs(envelope))
 
+    def test_discarded_fraction_matches_extrapolated_tail(self):
+        """With a short sinc^2 ridge the norm missing from a window halves
+        per doubling of the window (a 1/X tail), so 2 N_80 - N_40 estimates
+        the whole-plane norm; the closed form agrees with it to 1e-4."""
+        model = PdcModel(
+            group_index_signal=3.0, group_index_idler=3.6, crystal_length=5e-3
+        )
+
+        def riemann_norm(width, n):
+            grid = FrequencyGrid.centered(1535.2e-9, width, n=n)
+            ws = grid.omega_s_axis[:, None]
+            wi = grid.omega_i_axis[None, :]
+            amp = pump_envelope(model, ws + wi) * phase_matching(model, ws, wi)
+            return np.sum(np.abs(amp) ** 2) * grid.cell
+
+        n_40, n_80 = riemann_norm(40e-9, 512), riemann_norm(80e-9, 1024)
+        jsa = build_jsa(model, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512))
+        assert jsa.discarded_fraction == pytest.approx(
+            1 - n_40 / (2 * n_80 - n_40), abs=1e-4
+        )
+
+    def test_equal_group_indices_discard_everything(self):
+        """n_gs = n_gi: the sinc^2 ridge never ends, so the limit is 1."""
+        jsa = build_jsa(PdcModel(intrinsic_delay_comp=0.0), GRID)
+        assert jsa.discarded_fraction == 1.0
+
     def test_grid_refinement_convergence(self):
         """alpha, beta, |D(0)| change < 1e-4 relative from n to 2n, n >= 256."""
         splitter = SplitterResponse(

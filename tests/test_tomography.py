@@ -14,7 +14,7 @@ from polentsim.errors import (
 from polentsim.jointstate import PolarizationDensityMatrix, density_matrix
 from polentsim.metrics import fidelity
 from polentsim.tomography import (
-    _DESIGN,
+    _DUAL,
     BASIS_KETS,
     PROJECTION_PAIRS,
     CountRecord,
@@ -102,9 +102,16 @@ class TestProjectors:
         assert not stack.flags.writeable
         assert np.allclose(stack.sum(axis=0), 9.0 * np.eye(4), atol=1e-14)
 
-    def test_design_matrix_has_full_rank(self):
-        assert _DESIGN.shape == (36, 16)
-        assert np.linalg.matrix_rank(_DESIGN) == 16
+    def test_dual_frame_reconstructs_any_operator(self):
+        """sum_k Tr(P_k X) Q_k = X: the 36 settings are informationally
+        complete and the dual stack inverts them."""
+        assert _DUAL.shape == (36, 4, 4)
+        assert not _DUAL.flags.writeable
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        x = a + a.conj().T
+        probs = np.real(np.einsum("kij,ji->k", projector_stack(), x))
+        assert np.max(np.abs(np.tensordot(probs, _DUAL, axes=(0, 0)) - x)) < 1e-14
 
     def test_bell_state_probabilities(self):
         probs = dict(zip(PROJECTION_PAIRS, projection_probabilities(BELL)))
