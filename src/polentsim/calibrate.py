@@ -22,6 +22,18 @@ def split_edges(template: SplitterResponse, split: float) -> SplitterResponse:
     )
 
 
+def _alpha_excess(split, power, template, grid, target_alpha):
+    """alpha of the edge separation ``split`` minus the target weight.
+
+    Module-level with its data passed as arguments: brentq keeps its
+    wrapper of the root function in a reference cycle, which would pin a
+    closure's grids until the cyclic collector ran.
+    """
+    curves = sample_on_grid(split_edges(template, split), grid)
+    alpha, _, _ = _cross_path_weights(power, curves, grid.cell)
+    return alpha - target_alpha
+
+
 def fit_edge_split(
     jsa: JsaGrid,
     template: SplitterResponse,
@@ -37,15 +49,9 @@ def fit_edge_split(
     the one :func:`~polentsim.jointstate.post_select` reports, evaluated
     from |f|^2 and the two edge curves without building g and h.
     """
-    power = _power(jsa.amplitude)
-
-    def excess(split):
-        curves = sample_on_grid(split_edges(template, split), jsa.grid)
-        alpha, _, _ = _cross_path_weights(power, curves, jsa.grid.cell)
-        return alpha - target_alpha
-
+    args = (_power(jsa.amplitude), template, jsa.grid, target_alpha)
     lo, hi = bracket
-    f_lo, f_hi = excess(lo), excess(hi)
+    f_lo, f_hi = _alpha_excess(lo, *args), _alpha_excess(hi, *args)
     if f_lo == 0.0:
         return split_edges(template, lo)
     if f_hi == 0.0:
@@ -54,5 +60,5 @@ def fit_edge_split(
         raise UnidentifiableFitError(
             "target weight not reachable within the edge-split bracket"
         )
-    split = brentq(excess, lo, hi, xtol=tol)
+    split = brentq(_alpha_excess, lo, hi, args=args, xtol=tol)
     return split_edges(template, split)

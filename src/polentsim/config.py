@@ -61,6 +61,9 @@ SCHEMA = {
 
 _PATH_KEYS = ("splitter_table_h", "splitter_table_v", "jsa_file")
 
+#: Largest grid_points: one complex grid of 8192^2 values is 1 GiB.
+_MAX_GRID_POINTS = 8192
+
 
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines; unknown keys are an error."""
@@ -98,6 +101,11 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {value!r}")
             merged[key] = value
         self.values = merged
+        if merged["grid_points"] > _MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid_points must be at most {_MAX_GRID_POINTS}, "
+                f"got {merged['grid_points']}"
+            )
         for key in _PATH_KEYS:
             path = self.values[key]
             if path is not None and not os.path.exists(path):

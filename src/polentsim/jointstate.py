@@ -29,24 +29,42 @@ _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 
+#: Grid values per band of rows in the difference-spectrum sum.
+_BAND_VALUES = 1 << 16
+
 
 @dataclass(frozen=True)
 class PostSelectedAmplitudes:
     """Cross-path amplitudes g, h on a common grid.
 
-    ``norm_constant`` is the shared normalization (the Riemann sum of
-    |g|^2 + |h|^2); ``neglected_fraction`` is the same-path probability
-    dropped by post-selection; ``alpha`` and ``beta`` are the diagonal
-    weights, the shares of |g|^2 and |h|^2 in the normalization.
+    g = f outer(sqrt t_H, sqrt r_V) and h = f outer(sqrt r_H, sqrt t_V) are
+    kept as the pair amplitude ``amplitude`` (shared with the JSA, never
+    written) and the edge ``curves``.  ``norm_constant`` is the shared
+    normalization (the Riemann sum of |g|^2 + |h|^2);
+    ``neglected_fraction`` is the same-path probability dropped by
+    post-selection; ``alpha`` and ``beta`` are the diagonal weights, the
+    shares of |g|^2 and |h|^2 in the normalization.
     """
 
-    g: np.ndarray
-    h: np.ndarray
+    amplitude: np.ndarray
+    curves: SplitterCurves
     grid: FrequencyGrid
     norm_constant: float
     neglected_fraction: float
     alpha: float
     beta: float
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """Signal transmitted, idler reflected: f sqrt(t_H) sqrt(r_V)."""
+        c = self.curves
+        return self.amplitude * np.outer(np.sqrt(c.t_h), np.sqrt(c.r_v))
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """Signal reflected, idler transmitted: f sqrt(r_H) sqrt(t_V)."""
+        c = self.curves
+        return self.amplitude * np.outer(np.sqrt(c.r_h), np.sqrt(c.t_v))
 
     @cached_property
     def difference_spectrum(self):
@@ -55,22 +73,40 @@ class PostSelectedAmplitudes:
         table.shape[1].
 
         Cell (j, k) of the overlap h(omega_i, omega_s) conj(g(omega_s,
-        omega_i)) has difference frequency (j - k) d_omega, so one bincount
-        over j - k collapses the grid onto 2n - 1 terms, zero-padded to a
-        K x B table with B the ceiling of sqrt(2n - 1).  Computed on first
-        use; needs identical axes, on which h with swapped arguments is h.T.
+        omega_i)) is f[k, j] conj(f[j, k]) sqrt(t_H t_V)[j] sqrt(r_H r_V)[k]
+        and has difference frequency (j - k) d_omega, so summing each
+        diagonal j - k collapses the grid onto 2n - 1 terms, zero-padded to
+        a K x B table with B the ceiling of sqrt(2n - 1).  The sum runs over
+        bands of rows, so no grid-sized temporary is made.  Computed on
+        first use; needs identical axes, on which h with swapped arguments
+        is h.T.
         """
         if not self.grid.axes_match():
             raise DomainError("coherence needs identical signal and idler axes")
         n = self.grid.n_s
         terms = 2 * n - 1
         block = math.isqrt(terms - 1) + 1
-        size = block * -(-terms // block)
-        overlap = (self.h.T * np.conj(self.g)).ravel()
-        offset = (np.arange(n)[:, None] - np.arange(n) + (n - 1)).ravel()
-        weights = np.bincount(offset, overlap.real, size) + 1j * np.bincount(
-            offset, overlap.imag, size
-        )
+        weights = np.zeros(block * -(-terms // block), dtype=complex)
+        f = self.amplitude
+        c = self.curves
+        row_scale = np.sqrt(c.t_h * c.t_v)
+        col_scale = np.sqrt(c.r_h * c.r_v)[:, None]
+        step = max(1, _BAND_VALUES // n)
+        for j0 in range(0, n, step):
+            rows = min(step, n - j0)
+            # f[k, j] for the band's j, copied to rows of k: reading the
+            # transpose of f in place would stride across the whole grid
+            cols = f[:, j0 : j0 + rows] * col_scale
+            cols *= row_scale[j0 : j0 + rows]
+            # the band's rows at width n + rows, read back at width
+            # n + rows - 1, shift row i by i places: with columns reversed,
+            # diagonal j - k lands in column (j - j0) + (n - 1 - k)
+            flat = np.zeros(rows * (n + rows), dtype=complex)
+            band = flat.reshape(rows, n + rows)[:, :n]
+            np.conjugate(f[j0 : j0 + rows, ::-1], out=band)
+            band *= cols[::-1].T
+            skewed = flat[: rows * (n + rows - 1)].reshape(rows, n + rows - 1)
+            weights[j0 : j0 + n + rows - 1] += skewed.sum(axis=0)
         weights *= self.grid.cell / self.norm_constant
         table = weights.reshape(-1, block)
         table.flags.writeable = False  # shared cache
@@ -105,12 +141,9 @@ def post_select(jsa: JsaGrid, splitter: SplitterResponse) -> PostSelectedAmplitu
     alpha, beta, norm = _cross_path_weights(
         _power(jsa.amplitude), curves, jsa.grid.cell
     )
-    f = jsa.amplitude
-    g = f * np.outer(np.sqrt(curves.t_h), np.sqrt(curves.r_v))
-    h = f * np.outer(np.sqrt(curves.r_h), np.sqrt(curves.t_v))
     return PostSelectedAmplitudes(
-        g=g,
-        h=h,
+        amplitude=jsa.amplitude,
+        curves=curves,
         grid=jsa.grid,
         norm_constant=norm,
         neglected_fraction=float(max(0.0, 1.0 - norm)),
@@ -167,6 +200,8 @@ class PolarizationDensityMatrix:
         rho = np.asarray(self.elements, dtype=complex)
         if rho.shape != (4, 4):
             raise InvalidStateError("density matrix must be 4x4")
+        if not np.all(np.isfinite(rho)):
+            raise InvalidStateError("density matrix elements must be finite")
         if np.max(np.abs(rho - rho.conj().T)) > _HERMITICITY_TOL:
             raise InvalidStateError("density matrix is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > _TRACE_TOL or abs(np.trace(rho).imag) > _TRACE_TOL:
@@ -389,10 +424,16 @@ def read_density_matrix(path) -> PolarizationDensityMatrix:
             parts = line.split()
             if len(parts) != 4:
                 raise FormatError(f"{path}:{lineno}: expected 'row col re im'")
-            r, c = int(parts[0]), int(parts[1])
+            try:
+                r, c = int(parts[0]), int(parts[1])
+                real, imag = float(parts[2]), float(parts[3])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
             if not (0 <= r < 4 and 0 <= c < 4) or seen[r, c]:
                 raise FormatError(f"{path}:{lineno}: bad or duplicate index")
-            rho[r, c] = float(parts[2]) + 1j * float(parts[3])
+            if not (math.isfinite(real) and math.isfinite(imag)):
+                raise FormatError(f"{path}:{lineno}: values must be finite")
+            rho[r, c] = complex(real, imag)
             seen[r, c] = True
     if not seen.all():
         raise FormatError(f"{path}: missing matrix entries")

@@ -360,9 +360,9 @@ def apply_bandpass(jsa: JsaGrid, center_wavelength, width) -> JsaGrid:
     norm_in = _riemann_power(filtered, jsa.grid.cell)
     if norm_in <= 0:
         raise EmptySupportError("band-pass window has no amplitude support")
-    return JsaGrid.normalized(
-        jsa.grid, filtered, discarded_fraction=float(1.0 - norm_in / jsa.norm())
-    )
+    discarded = float(1.0 - norm_in / jsa.norm())
+    filtered /= np.sqrt(norm_in)
+    return JsaGrid(jsa.grid, filtered, discarded_fraction=discarded)
 
 
 def antidiagonal_marginal(jsa: JsaGrid):

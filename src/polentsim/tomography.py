@@ -150,7 +150,11 @@ def expected_rates(
     if pair_rate < 0 or accidental_rate < 0 or acquisition_time < 0:
         raise DomainError("rates and acquisition time must be non-negative")
     probs = projection_probabilities(rho)
-    return acquisition_time * (pair_rate * probs + accidental_rate)
+    with np.errstate(over="ignore"):
+        means = acquisition_time * (pair_rate * probs + accidental_rate)
+    if not np.all(np.isfinite(means)):
+        raise DomainError("expected counts are not finite")
+    return means
 
 
 def calibrate_pair_rate(rho, target_cross_rate: float = 4.0) -> float:
@@ -159,7 +163,11 @@ def calibrate_pair_rate(rho, target_cross_rate: float = 4.0) -> float:
     peak = max(probs[_PAIR_INDEX["H", "V"]], probs[_PAIR_INDEX["V", "H"]])
     if peak <= 0:
         raise DomainError("state has no cross-polarized coincidence probability")
-    return target_cross_rate / peak
+    with np.errstate(over="ignore"):
+        pair_rate = target_cross_rate / peak
+    if not np.isfinite(pair_rate):
+        raise DomainError("calibrated pair rate is not finite")
+    return pair_rate
 
 
 def sample_counts(

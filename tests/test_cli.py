@@ -9,6 +9,7 @@ from polentsim.config import RunConfig
 from polentsim.jointstate import read_density_matrix
 from polentsim.spectral import (
     C,
+    FrequencyGrid,
     build_jsa,
     phase_matching,
     pump_envelope,
@@ -111,6 +112,22 @@ class TestJsaCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error[config]:")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("points", [8193, 100000000])
+    def test_oversized_grid_exit_code(self, tmp_path, capsys, monkeypatch, points):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built for an oversized grid_points")
+
+        # fail before any allocation if the grid were ever built
+        monkeypatch.setattr(FrequencyGrid, "centered", no_grid)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(CONFIG_TEXT + f"grid_points = {points}\n")
+        out = tmp_path / "out"
+        assert run(["jsa", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[config]: grid_points")
         assert len(captured.err.splitlines()) == 1
 
 
@@ -307,10 +324,12 @@ class TestTomoCommands:
     @pytest.mark.parametrize(
         "config_line",
         ["singles_rate_hz = 1e30", "coincidence_rate_hz = 1e300",
+         "coincidence_rate_hz = 1e308", "pair_rate_hz = 1e308",
          "singles_rate_hz = -870", "gate_rate_hz = 0", "acquisition_s = 0",
          "grid_points = 8"],
-        ids=["singles-huge", "coincidence-huge", "singles-negative",
-             "gate-zero", "acquisition-zero", "grid-too-coarse"],
+        ids=["singles-huge", "coincidence-huge", "coincidence-overflow",
+             "pair-overflow", "singles-negative", "gate-zero",
+             "acquisition-zero", "grid-too-coarse"],
     )
     def test_simulate_out_of_range_config_exit_code(
         self, tmp_path, capsys, config_line
@@ -371,6 +390,23 @@ class TestMetricsCommand:
     def test_missing_file_exit_code(self, capsys):
         assert run(["metrics", "--matrix", "/nonexistent/rho.txt"]) == 2
         assert capsys.readouterr().err.startswith("error[config]:")
+
+    @pytest.mark.parametrize(
+        "row", ["0 0 abc 0", "x 0 1 0", "0 0 nan 0", "0 0 1 inf"],
+        ids=["value", "index", "nan", "inf"],
+    )
+    def test_malformed_matrix_exit_code(self, tmp_path, capsys, row):
+        rho = jointstate.density_matrix(0.5, 0.5, 0.3 + 0.1j)
+        path = tmp_path / "rho.txt"
+        jointstate.write_density_matrix(path, rho)
+        lines = path.read_text().splitlines()
+        lines[0] = row
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["metrics", "--matrix", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[format]:")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestFitCommand:

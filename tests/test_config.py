@@ -71,6 +71,13 @@ class TestRunConfig:
         assert model.crystal_length == pytest.approx(1.87e-3)
         assert model.intrinsic_delay_comp == pytest.approx(25.9e-15)
 
+    @pytest.mark.parametrize("points", [8193, 100000000])
+    def test_oversized_grid_rejected(self, points):
+        # rejected at construction: no grid is built
+        with pytest.raises(ConfigError) as err:
+            RunConfig({"grid_points": points})
+        assert "grid_points" in str(err.value)
+
     def test_grid_matches_settings(self):
         grid = RunConfig({"grid_points": 64}).grid()
         assert grid.n_s == 64

@@ -1,5 +1,9 @@
 """Tests for post-selection, the coherence parameter, and delay sweeps."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from polentsim.jointstate import (
     DegradationModel,
     DelaySweep,
     PolarizationDensityMatrix,
+    _BAND_VALUES,
     _coherence,
     _cross_path_weights,
     _interp_complex,
@@ -131,6 +136,31 @@ class TestPostSelect:
             post_select(build_jsa(MODEL, GRID), resp)
 
 
+    def test_cross_path_amplitudes(self):
+        jsa = random_jsa(np.random.default_rng(3), n=16)
+        splitter = random_splitter(np.random.default_rng(4))
+        amps = post_select(jsa, splitter)
+        assert amps.amplitude is jsa.amplitude
+        c = sample_on_grid(splitter, jsa.grid)
+        f = jsa.amplitude
+        assert np.array_equal(amps.g, f * np.outer(np.sqrt(c.t_h), np.sqrt(c.r_v)))
+        assert np.array_equal(amps.h, f * np.outer(np.sqrt(c.r_h), np.sqrt(c.t_v)))
+
+    def test_coherence_working_set_is_one_band(self):
+        """post_select and the difference table allocate well under one
+        512-point grid (4 MiB), and leave the shared amplitude as it was."""
+        jsa = build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512))
+        before = jsa.amplitude.copy()
+        tracemalloc.start()
+        try:
+            post_select(jsa, SPLIT).difference_spectrum
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
+        assert np.array_equal(jsa.amplitude, before)
+
+
 class TestUnequalAxes:
     def test_coherence_rejects_unequal_axes(self):
         axis = FrequencyGrid.centered(1535.2e-9, 40e-9, n=8).omega_s_axis
@@ -210,10 +240,15 @@ class TestDelaySweep:
         alpha, beta = diagonal_weights(amps)
         assert np.all(sweep.alpha == alpha) and np.all(sweep.beta == beta)
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 300])
     def test_engine_matches_direct_double_sum(self, n):
         """2n - 1 = 3, 5, 15, 17 difference terms: 2n - 1 is not a multiple
-        of the block size for n = 2, 3, 9, so the weight table is padded."""
+        of the block size for n = 2, 3, 9, so the weight table is padded.
+        At n = 300 the diagonal sums run over several bands of rows, the
+        last one shorter."""
+        if n > 9:
+            rows = _BAND_VALUES // n
+            assert rows < n and n % rows
         rng = np.random.default_rng(40 + n)
         amps = post_select(random_jsa(rng, n), random_splitter(rng))
         listed = np.array([3e-13, -5e-12, 0.0, 5e-12, -2.5e-14, 1.7e-12])
@@ -283,6 +318,12 @@ class TestDensityMatrix:
     def test_invariant_rejects_bad_trace(self):
         with pytest.raises(InvalidStateError):
             PolarizationDensityMatrix(np.eye(4, dtype=complex))
+
+    def test_invariant_rejects_non_finite(self):
+        mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        mat[0, 0] = np.nan
+        with pytest.raises(InvalidStateError):
+            PolarizationDensityMatrix(mat)
 
     def test_invariant_rejects_negative_eigenvalue(self):
         mat = np.diag([0.7, 0.5, -0.2, 0.0]).astype(complex)
@@ -460,6 +501,17 @@ class TestEdgeSplit:
     def test_unreachable_target_rejected(self):
         with pytest.raises(UnidentifiableFitError):
             fit_edge_split(build_jsa(MODEL, GRID), self.TEMPLATE, 0.99)
+
+    def test_fit_releases_the_jsa_without_cyclic_collection(self):
+        jsa = build_jsa(MODEL, GRID)
+        ref = weakref.ref(jsa)
+        gc.disable()
+        try:
+            fit_edge_split(jsa, self.TEMPLATE, 0.55)
+            del jsa
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_degenerate_template_rejected(self):
         # both edges far outside the grid for every split in the bracket
