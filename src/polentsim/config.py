@@ -63,6 +63,10 @@ _PATH_KEYS = ("splitter_table_h", "splitter_table_v", "jsa_file")
 
 #: Largest grid_points: one complex grid of 8192^2 values is 1 GiB.
 _MAX_GRID_POINTS = 8192
+#: Largest tau_points on the same 1 GiB budget: at 8192 grid points the
+#: coherence evaluates two (tau_points x 128) complex phase tables, 4 KiB
+#: per delay.
+_MAX_TAU_POINTS = 262_144
 
 
 def parse_config_file(path) -> dict:
@@ -101,11 +105,12 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {value!r}")
             merged[key] = value
         self.values = merged
-        if merged["grid_points"] > _MAX_GRID_POINTS:
-            raise ConfigError(
-                f"grid_points must be at most {_MAX_GRID_POINTS}, "
-                f"got {merged['grid_points']}"
-            )
+        for key, cap in (
+            ("grid_points", _MAX_GRID_POINTS),
+            ("tau_points", _MAX_TAU_POINTS),
+        ):
+            if merged[key] > cap:
+                raise ConfigError(f"{key} must be at most {cap}, got {merged[key]}")
         for key in _PATH_KEYS:
             path = self.values[key]
             if path is not None and not os.path.exists(path):

@@ -23,14 +23,16 @@ from .errors import (
     NonphysicalCoherenceError,
     UnidentifiableFitError,
 )
-from .spectral import FrequencyGrid, JsaGrid
+from .spectral import (
+    _BAND_VALUES,  # re-exported: the band size of the difference-spectrum sum
+    FrequencyGrid,
+    JsaGrid,
+    _antidiagonal_sums,
+)
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
-
-#: Grid values per band of rows in the difference-spectrum sum.
-_BAND_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,27 +88,23 @@ class PostSelectedAmplitudes:
         n = self.grid.n_s
         terms = 2 * n - 1
         block = math.isqrt(terms - 1) + 1
-        weights = np.zeros(block * -(-terms // block), dtype=complex)
         f = self.amplitude
         c = self.curves
         row_scale = np.sqrt(c.t_h * c.t_v)
         col_scale = np.sqrt(c.r_h * c.r_v)[:, None]
-        step = max(1, _BAND_VALUES // n)
-        for j0 in range(0, n, step):
-            rows = min(step, n - j0)
+
+        def fill(rows, band):
             # f[k, j] for the band's j, copied to rows of k: reading the
             # transpose of f in place would stride across the whole grid
-            cols = f[:, j0 : j0 + rows] * col_scale
-            cols *= row_scale[j0 : j0 + rows]
-            # the band's rows at width n + rows, read back at width
-            # n + rows - 1, shift row i by i places: with columns reversed,
-            # diagonal j - k lands in column (j - j0) + (n - 1 - k)
-            flat = np.zeros(rows * (n + rows), dtype=complex)
-            band = flat.reshape(rows, n + rows)[:, :n]
-            np.conjugate(f[j0 : j0 + rows, ::-1], out=band)
+            cols = f[:, rows] * col_scale
+            cols *= row_scale[rows]
+            # with columns reversed, diagonal j - k is anti-diagonal
+            # (j - j0) + (n - 1 - k) of the band
+            np.conjugate(f[rows, ::-1], out=band)
             band *= cols[::-1].T
-            skewed = flat[: rows * (n + rows - 1)].reshape(rows, n + rows - 1)
-            weights[j0 : j0 + n + rows - 1] += skewed.sum(axis=0)
+
+        weights = np.zeros(block * -(-terms // block), dtype=complex)
+        weights[:terms] = _antidiagonal_sums(n, n, fill, dtype=complex)
         weights *= self.grid.cell / self.norm_constant
         table = weights.reshape(-1, block)
         table.flags.writeable = False  # shared cache

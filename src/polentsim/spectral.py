@@ -276,32 +276,51 @@ def phase_matching(model: PdcModel, omega_s, omega_i):
     return _sinc(x) * np.exp(1j * x)
 
 
-def _grid_factors(model: PdcModel, axis_s, axis_i):
-    """Pump x phase-matching on the outer grid of two axes, factorized.
+#: Grid values per band of rows: the spectral kernels and the coherence
+#: table work on one band at a time, so no grid-sized temporary is made.
+_BAND_VALUES = 1 << 16
 
-    Returns (envelope, phase_s, phase_i) with the amplitude equal to
-    envelope * outer(phase_s, phase_i): dk L/2 is a sum of a signal and an
-    idler term, so exp(i dk L/2) is an outer product of axis vectors and
-    only the pump Gaussian and the sinc are evaluated per cell.
+#: Below this |x| the sinc is sin(x)/x of the summed argument: the
+#: angle-sum numerator is exact to a few ulp of 1, which the division
+#: would magnify near the ridge.
+_SINC_GUARD = 0.05
+
+
+def _row_bands(n_rows: int, width: int):
+    """Slices of consecutive rows holding about _BAND_VALUES values each."""
+    step = max(1, _BAND_VALUES // width)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def _antidiagonal_sums(n_rows: int, width: int, fill, dtype=float) -> np.ndarray:
+    """Sums along j + k of an n_rows x width grid, one band of rows at a time.
+
+    ``fill(rows, band)`` writes grid rows ``rows`` into ``band``.  A band
+    of r rows is laid out at row length width + r and read back at row
+    length width + r - 1, which shifts row i by i places and puts cell
+    (i, k) in column i + k; the column sums are then the band's
+    anti-diagonal sums.  No grid-sized temporary or index array is made.
     """
-    if np.any(axis_s <= 0) or np.any(axis_i <= 0):
-        raise DomainError("frequencies must be positive")
-    signal, idler, constant = _mismatch_terms(model, axis_s, axis_i)
-    half_length = model.crystal_length / (2.0 * C)
-    x_s = (signal + constant) * half_length
-    x_i = idler * half_length
-    # omega - omega_p / 2 is exact near degeneracy; the pump detuning is
-    # the sum of the two per-axis detunings
-    half_pump = model.omega_pump_center / 2.0
-    u_s = (axis_s - half_pump) / model.pump_bandwidth_omega
-    u_i = (axis_i - half_pump) / model.pump_bandwidth_omega
-    envelope = _gaussian(np.add.outer(u_s, u_i))
-    envelope *= _sinc(np.add.outer(x_s, x_i))
-    return envelope, np.exp(1j * x_s), np.exp(1j * x_i)
+    sums = np.zeros(n_rows + width - 1, dtype=dtype)
+    for rows in _row_bands(n_rows, width):
+        r = rows.stop - rows.start
+        flat = np.zeros(r * (width + r), dtype=dtype)
+        fill(rows, flat.reshape(r, width + r)[:, :width])
+        skewed = flat[: r * (width + r - 1)].reshape(r, width + r - 1)
+        sums[rows.start : rows.stop + width - 1] += skewed.sum(axis=0)
+    return sums
 
 
 def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
     """Evaluate pump x phase-matching on the grid and normalize.
+
+    dk L/2 = x = x_s + x_i is a sum of a signal and an idler term, so
+    exp(i x) is the outer product of two axis vectors, and its imaginary
+    part sin x_s cos x_i + cos x_s sin x_i is the sinc numerator; only the
+    pump Gaussian and one division are evaluated per cell.  Cells with |x|
+    below _SINC_GUARD take sin(x)/x directly.  The grid is filled one band
+    of rows at a time and scaled once by the accumulated Riemann norm.
 
     The discarded-norm fraction is the share of the whole plane's norm
     that falls outside the grid window.  |f|^2 = G(sigma)^2 sinc^2(x) with
@@ -317,51 +336,82 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
             "grid too coarse across the pump bandwidth "
             f"({model.pump_bandwidth_omega / (2.0 * step):.1f} points, need >= 8)"
         )
-    envelope, phase_s, phase_i = _grid_factors(
-        model, grid.omega_s_axis, grid.omega_i_axis
-    )
-    norm_in = _riemann_power(envelope, grid.cell)
+    axis_s, axis_i = grid.omega_s_axis, grid.omega_i_axis
+    if np.any(axis_s <= 0) or np.any(axis_i <= 0):
+        raise DomainError("frequencies must be positive")
+    signal, idler, constant = _mismatch_terms(model, axis_s, axis_i)
+    half_length = model.crystal_length / (2.0 * C)
+    x_s = (signal + constant) * half_length
+    x_i = idler * half_length
+    # omega - omega_p / 2 is exact near degeneracy; the pump detuning is
+    # the sum of the two per-axis detunings
+    half_pump = model.omega_pump_center / 2.0
+    u_s = (axis_s - half_pump) / model.pump_bandwidth_omega
+    u_i = (axis_i - half_pump) / model.pump_bandwidth_omega
+    phase_s, phase_i = np.exp(1j * x_s), np.exp(1j * x_i)
+    amplitude = np.empty((grid.n_s, grid.n_i), dtype=complex)
+    norm_in = 0.0
+    for rows in _row_bands(grid.n_s, grid.n_i):
+        band = amplitude[rows]
+        np.multiply.outer(phase_s[rows], phase_i, out=band)
+        x = np.add.outer(x_s[rows], x_i)
+        near = np.flatnonzero(np.abs(x) < _SINC_GUARD)
+        x_near = x.flat[near]
+        x.flat[near] = 1.0  # no division by zero; these cells are set below
+        # Im(e^{i x_s} e^{i x_i}) is sin(x_s + x_i) by the angle-sum identity
+        envelope = np.divide(band.imag, x)
+        envelope.flat[near] = _sinc(x_near)
+        envelope *= _gaussian(np.add.outer(u_s[rows], u_i))
+        norm_in += float(np.vdot(envelope, envelope))
+        band *= envelope
+    norm_in *= grid.cell
     if not norm_in > 0:
         raise EmptySupportError("amplitude has zero norm on this grid")
     # norm_in / (whole-plane norm), written as a product so that J = 0
     # gives the limit 1 without a division
-    j = model.crystal_length / (2.0 * C) * (
-        model.group_index_signal - model.group_index_idler
-    )
+    j = half_length * (model.group_index_signal - model.group_index_idler)
     kept = norm_in * abs(j) / (
         model.pump_bandwidth_omega * np.sqrt(np.pi / (4.0 * np.log(2.0))) * np.pi
     )
     discarded = max(0.0, 1.0 - float(kept))
-    envelope /= np.sqrt(norm_in)
-    amplitude = np.outer(phase_s, phase_i)
-    amplitude *= envelope
+    amplitude *= 1.0 / np.sqrt(norm_in)
     return JsaGrid(grid, amplitude, discarded_fraction=discarded)
+
+
+def _window(axis, lam_lo, lam_hi) -> slice:
+    """Index range of a strictly increasing frequency axis whose
+    wavelengths lie in [lam_lo, lam_hi]; empty when none do."""
+    lam = omega_to_wavelength(axis)
+    inside = np.flatnonzero((lam >= lam_lo) & (lam <= lam_hi))
+    if inside.size == 0:
+        return slice(0, 0)
+    # wavelength is monotone in frequency, so the window is contiguous
+    return slice(inside[0], inside[-1] + 1)
 
 
 def apply_bandpass(jsa: JsaGrid, center_wavelength, width) -> JsaGrid:
     """Top-hat band-pass on both axes, then renormalize.
 
-    The discarded-norm fraction of the result is the out-of-window share
-    of the input norm.
+    The window is one index range per axis, so the kept block is copied
+    into a zeroed grid.  The discarded-norm fraction of the result is the
+    out-of-window share of the input norm.
     """
     if width <= 0:
         raise DomainError("filter width must be positive")
     lam_lo = center_wavelength - width / 2.0
     lam_hi = center_wavelength + width / 2.0
-
-    def _mask(axis):
-        lam = omega_to_wavelength(axis)
-        return (lam >= lam_lo) & (lam <= lam_hi)
-
-    keep = np.outer(_mask(jsa.grid.omega_s_axis), _mask(jsa.grid.omega_i_axis))
-    if not keep.any():
+    rows = _window(jsa.grid.omega_s_axis, lam_lo, lam_hi)
+    cols = _window(jsa.grid.omega_i_axis, lam_lo, lam_hi)
+    if rows.start == rows.stop or cols.start == cols.stop:
         raise EmptySupportError("band-pass window does not overlap the grid")
-    filtered = np.where(keep, jsa.amplitude, 0.0)
+    filtered = np.zeros_like(jsa.amplitude)
+    block = filtered[rows, cols]
+    block[...] = jsa.amplitude[rows, cols]
     norm_in = _riemann_power(filtered, jsa.grid.cell)
     if norm_in <= 0:
         raise EmptySupportError("band-pass window has no amplitude support")
     discarded = float(1.0 - norm_in / jsa.norm())
-    filtered /= np.sqrt(norm_in)
+    block *= 1.0 / np.sqrt(norm_in)
     return JsaGrid(jsa.grid, filtered, discarded_fraction=discarded)
 
 
@@ -374,11 +424,14 @@ def antidiagonal_marginal(jsa: JsaGrid):
     grid = jsa.grid
     if abs(grid.d_omega_s - grid.d_omega_i) > 1e-9 * grid.d_omega_s:
         raise DomainError("marginal requires equal axis steps")
+    f = jsa.amplitude
+
+    def fill(rows, band):
+        np.square(f[rows].real, out=band)
+        band += np.square(f[rows].imag)
+
     # cell (j, k) has sum frequency omega_s[0] + omega_i[0] + (j + k) d_omega
-    index_sum = (np.arange(grid.n_s)[:, None] + np.arange(grid.n_i)[None, :]).ravel()
-    density = np.bincount(
-        index_sum, (np.abs(jsa.amplitude) ** 2).ravel(), grid.n_s + grid.n_i - 1
-    )
+    density = _antidiagonal_sums(grid.n_s, grid.n_i, fill)
     offsets = np.arange(-(grid.n_i - 1), grid.n_s)
     sums = (
         grid.omega_s_axis[0]
@@ -462,8 +515,13 @@ def read_jsa(path) -> JsaGrid:
         raise FormatError(
             f"expected {n_s * n_i} complex rows, found {values.shape[0]}"
         )
+    if not np.all(np.isfinite(values)):
+        raise FormatError("JSA table values must be finite")
     amp = (values[:, 0] + 1j * values[:, 1]).reshape(n_s, n_i)
     grid = FrequencyGrid(
         s_min + np.arange(n_s) * s_step, i_min + np.arange(n_i) * i_step
     )
-    return JsaGrid(grid, amp)
+    try:
+        return JsaGrid(grid, amp)
+    except DomainError as exc:
+        raise FormatError(f"JSA table: {exc}") from exc

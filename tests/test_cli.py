@@ -207,8 +207,12 @@ class TestSweepCommand:
         "header, body",
         [("2 2 1 1 1 1", ["0 abc"] + ["0 0"] * 3),
          ("x 2 1 1 1 1", ["0 0"] * 4),
-         ("-2 -2 1 1 1 1", ["0 0"] * 4)],
-        ids=["body-value", "header-count", "negative-count"],
+         ("-2 -2 1 1 1 1", ["0 0"] * 4),
+         ("2 2 1 1 1 1", ["nan 0"] + ["0.5 0"] * 3),
+         ("2 2 1 1 1 1", ["0.5 0"] * 3 + ["0 inf"]),
+         ("2 2 1 1 1 1", ["1 0"] * 4)],
+        ids=["body-value", "header-count", "negative-count", "nan-value",
+             "inf-value", "doubled-amplitude"],
     )
     def test_non_numeric_jsa_file_exit_code(
         self, tmp_path, capsys, header, body
@@ -221,6 +225,21 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error[format]:")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_oversized_tau_points_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_delays(*args, **kwargs):
+            raise AssertionError("delays built for an oversized tau_points")
+
+        # fail before any allocation if the delays were ever built
+        monkeypatch.setattr(jointstate, "uniform_delays", no_delays)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(CONFIG_TEXT + "tau_points = 1000000000000\n")
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[config]: tau_points")
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("delays", ["1,abc", "1,,2", "0,nan"])

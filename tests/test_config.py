@@ -2,7 +2,7 @@
 
 import pytest
 
-from polentsim.config import RunConfig, parse_config_file
+from polentsim.config import _MAX_TAU_POINTS, RunConfig, parse_config_file
 from polentsim.errors import ConfigError
 
 
@@ -102,3 +102,16 @@ class TestRunConfig:
         config = RunConfig({"crystal_length_mm": -1.0})
         with pytest.raises(Exception):
             config.pdc_model()
+
+    @pytest.mark.parametrize("points", [_MAX_TAU_POINTS + 1, 1000000000000])
+    def test_oversized_tau_points_rejected(self, points):
+        # rejected at construction: no delay array is built
+        with pytest.raises(ConfigError) as err:
+            RunConfig({"tau_points": points})
+        assert "tau_points" in str(err.value)
+
+    def test_tau_points_cap_is_one_gib_of_phase_tables(self):
+        """At 8192 grid points the two (tau x 128) complex phase tables of
+        the coherence fill 1 GiB at the cap, which is itself accepted."""
+        assert _MAX_TAU_POINTS * 2 * 128 * 16 == 1 << 30
+        assert RunConfig({"tau_points": _MAX_TAU_POINTS})["tau_points"] == _MAX_TAU_POINTS

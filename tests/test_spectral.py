@@ -1,5 +1,6 @@
 """Tests for the joint-spectral-amplitude construction."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,10 @@ from polentsim.spectral import (
 
 MODEL = PdcModel()
 GRID = FrequencyGrid.centered(1535.2e-9, 40e-9, n=256)
+# a short sinc^2 ridge: |dk L/2| reaches about 80 (25 pi) on a 40 nm window
+SHORT_RIDGE = PdcModel(
+    group_index_signal=3.0, group_index_idler=3.6, crystal_length=5e-3
+)
 
 
 @given(st.floats(min_value=100e-9, max_value=10e-6))
@@ -166,13 +171,16 @@ class TestBuildJsa:
                 PdcModel(pump_bandwidth_fwhm=1.1e-9, crystal_length=2.3e-3),
                 FrequencyGrid(GRID.omega_s_axis[:200], GRID.omega_i_axis[40:]),
             ),
+            # 512 rows: four bands of rows
+            (SHORT_RIDGE, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)),
         ],
-        ids=["default", "rectangular"],
+        ids=["default", "rectangular", "short-ridge"],
     )
     def test_matches_extended_precision_evaluation(self, model, grid):
-        """The factorized grid evaluation agrees with a long-double
-        evaluation of pump x sinc(dk L/2) exp(i dk L/2) on the same float
-        inputs to 1e-13 of the peak."""
+        """The factorized band evaluation (angle-sum sine numerator, direct
+        sin(x)/x near the ridge) agrees with a long-double evaluation of
+        pump x sinc(dk L/2) exp(i dk L/2) on the same float inputs to 1e-13
+        of the peak."""
         ld = np.longdouble
         ws = grid.omega_s_axis.astype(ld)[:, None]
         wi = grid.omega_i_axis.astype(ld)[None, :]
@@ -197,13 +205,23 @@ class TestBuildJsa:
         )
         assert err <= 1e-13 * np.max(np.abs(envelope))
 
+    def test_band_evaluation_allocates_one_output_grid(self):
+        """At 1024 points the build holds the output grid plus band-sized
+        temporaries: no second grid-sized array is made."""
+        grid = FrequencyGrid.centered(1535.2e-9, 40e-9, n=1024)
+        tracemalloc.start()
+        try:
+            jsa = build_jsa(MODEL, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= jsa.amplitude.nbytes + 4e6
+
     def test_discarded_fraction_matches_extrapolated_tail(self):
         """With a short sinc^2 ridge the norm missing from a window halves
         per doubling of the window (a 1/X tail), so 2 N_80 - N_40 estimates
         the whole-plane norm; the closed form agrees with it to 1e-4."""
-        model = PdcModel(
-            group_index_signal=3.0, group_index_idler=3.6, crystal_length=5e-3
-        )
+        model = SHORT_RIDGE
 
         def riemann_norm(width, n):
             grid = FrequencyGrid.centered(1535.2e-9, width, n=n)
@@ -273,7 +291,56 @@ class TestAntidiagonalMarginal:
         )
 
 
+    def test_matches_bincount_over_several_bands(self):
+        """300 x 280 cells: the band sum runs over two bands of rows, the
+        second one shorter, and agrees with an index-array bincount."""
+        axis = FrequencyGrid.centered(1535.2e-9, 40e-9, n=600).omega_s_axis
+        grid = FrequencyGrid(axis[:300], axis[150:430])
+        assert spectral._BAND_VALUES // grid.n_i < grid.n_s
+        rng = np.random.default_rng(8)
+        jsa = JsaGrid.normalized(
+            grid, rng.normal(size=(300, 280)) + 1j * rng.normal(size=(300, 280))
+        )
+        _, density = antidiagonal_marginal(jsa)
+        index_sum = np.add.outer(np.arange(300), np.arange(280)).ravel()
+        expected = np.bincount(
+            index_sum, (np.abs(jsa.amplitude) ** 2).ravel(), 300 + 280 - 1
+        ) * grid.cell / grid.d_omega_s
+        assert np.allclose(density, expected, rtol=1e-13, atol=0)
+
+
 class TestApplyBandpass:
+    def test_matches_outer_mask_on_rectangular_grid(self):
+        """The block copy equals masking with the outer product of the two
+        axis windows, on a rectangular grid whose window edges fall between
+        grid points and cut both axes."""
+        axis = GRID.omega_s_axis
+        grid = FrequencyGrid(axis[:200], axis[30:250])
+        rng = np.random.default_rng(9)
+        jsa = JsaGrid.normalized(
+            grid, rng.normal(size=(200, 220)) + 1j * rng.normal(size=(200, 220))
+        )
+        center, width = 1536.1e-9, 21.7e-9
+        lam_s = omega_to_wavelength(grid.omega_s_axis)
+        lam_i = omega_to_wavelength(grid.omega_i_axis)
+        lo, hi = center - width / 2, center + width / 2
+        mask_s = (lam_s >= lo) & (lam_s <= hi)
+        mask_i = (lam_i >= lo) & (lam_i <= hi)
+        for lam, mask in ((lam_s, mask_s), (lam_i, mask_i)):
+            assert not np.any((lam == lo) | (lam == hi))
+            assert 0 < mask.sum() < mask.size
+        keep = np.outer(mask_s, mask_i)
+        reference = np.where(keep, jsa.amplitude, 0.0)
+        kept = np.sum(np.abs(reference) ** 2) * grid.cell
+        reference /= np.sqrt(kept)
+
+        out = apply_bandpass(jsa, center, width)
+        assert np.array_equal(out.amplitude != 0, keep)
+        assert np.max(np.abs(out.amplitude - reference)) <= 1e-14 * np.max(
+            np.abs(reference)
+        )
+        assert out.discarded_fraction == pytest.approx(1 - kept, abs=1e-14)
+
     def test_full_window_is_identity(self):
         jsa = build_jsa(MODEL, GRID)
         out = apply_bandpass(jsa, 1535.2e-9, 200e-9)
