@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
-from scipy.optimize import brentq
-
 from .dichroic import SplitterResponse, sample_on_grid
-from .errors import UnidentifiableFitError
+from .errors import ConvergenceError, DomainError, UnidentifiableFitError
 from .jointstate import _cross_path_weights, _power
 from .spectral import JsaGrid
 
@@ -22,12 +21,77 @@ def split_edges(template: SplitterResponse, split: float) -> SplitterResponse:
     )
 
 
+_RTOL = 4 * math.ulp(1.0)  # brentq's relative tolerance, 4 eps
+
+
+def _brent_root(f, a, b, args=(), xtol=2e-12, maxiter=100):
+    """Root of ``f(x, *args)`` in [a, b] by Brent's method.
+
+    The steps and the floating-point arithmetic of the ``brentq`` C routine
+    (``Zeros/brentq.c``), so its roots are reproduced bit for bit: secant
+    interpolation or inverse quadratic extrapolation when the step is
+    short enough, bisection otherwise.  Brent, *Algorithms for
+    Minimization Without Derivatives* (1973), ch. 4.
+    """
+    if not xtol > 0:
+        raise DomainError(f"root tolerance must be positive, got {xtol!r}")
+
+    def value(x):
+        fx = float(f(x, *args))
+        if math.isnan(fx):
+            raise DomainError(f"root function is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise DomainError("root function has the same sign at both ends")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceError(
+        f"root search did not converge in {maxiter} iterations", best=xcur
+    )
+
+
 def _alpha_excess(split, power, template, grid, target_alpha):
     """alpha of the edge separation ``split`` minus the target weight.
 
-    Module-level with its data passed as arguments: brentq keeps its
-    wrapper of the root function in a reference cycle, which would pin a
-    closure's grids until the cyclic collector ran.
+    Module-level with its data passed as arguments, so the root search
+    holds the grids only through ``args`` and frees them on return.
     """
     curves = sample_on_grid(split_edges(template, split), grid)
     alpha, _, _ = _cross_path_weights(power, curves, grid.cell)
@@ -60,5 +124,5 @@ def fit_edge_split(
         raise UnidentifiableFitError(
             "target weight not reachable within the edge-split bracket"
         )
-    split = brentq(_alpha_excess, lo, hi, args=args, xtol=tol)
+    split = _brent_root(_alpha_excess, lo, hi, args, xtol=tol)
     return split_edges(template, split)

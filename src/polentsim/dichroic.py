@@ -20,6 +20,20 @@ from .spectral import FrequencyGrid, omega_to_wavelength
 _LOGISTIC_RISE = 2.0 * np.log(9.0)
 
 
+def _check_table(tab, name: str) -> np.ndarray:
+    """``tab`` as an (n, 2) float array of (wavelength, T) samples, n >= 2."""
+    tab = np.asarray(tab, dtype=float)
+    if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
+        raise DomainError(f"{name}: need an (n, 2) array with n >= 2")
+    if not np.all(np.isfinite(tab)):
+        raise DomainError(f"{name}: values must be finite")
+    if np.any(np.diff(tab[:, 0]) <= 0):
+        raise DomainError(f"{name}: wavelengths must be increasing")
+    if np.any((tab[:, 1] < 0) | (tab[:, 1] > 1)):
+        raise DomainError(f"{name}: transmissions must lie in [0, 1]")
+    return tab
+
+
 @dataclass(frozen=True)
 class SplitterResponse:
     """Edge model of the dichroic mirror.
@@ -44,18 +58,8 @@ class SplitterResponse:
                 raise DomainError(f"{name} must be positive and finite")
         for name in ("table_h", "table_v"):
             tab = getattr(self, name)
-            if tab is None:
-                continue
-            tab = np.asarray(tab, dtype=float)
-            if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
-                raise DomainError(f"{name}: need an (n, 2) array with n >= 2")
-            if not np.all(np.isfinite(tab)):
-                raise DomainError(f"{name}: values must be finite")
-            if np.any(np.diff(tab[:, 0]) <= 0):
-                raise DomainError(f"{name}: wavelengths must be increasing")
-            if np.any((tab[:, 1] < 0) | (tab[:, 1] > 1)):
-                raise DomainError(f"{name}: transmissions must lie in [0, 1]")
-            object.__setattr__(self, name, tab)
+            if tab is not None:
+                object.__setattr__(self, name, _check_table(tab, name))
 
     def _edge(self, polarization: str) -> float:
         if polarization == "H":
@@ -120,6 +124,7 @@ def read_transmission_table(path) -> np.ndarray:
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
             rows.append((lam_nm * 1e-9, t))
-    if len(rows) < 2:
-        raise FormatError(f"{path}: need at least two table rows")
-    return np.asarray(rows, dtype=float)
+    try:
+        return _check_table(rows, str(path))
+    except DomainError as exc:
+        raise FormatError(str(exc)) from exc

@@ -503,6 +503,11 @@ def read_jsa(path) -> JsaGrid:
             s_min, s_step, i_min, i_step = map(float, parts[2:])
         except ValueError as exc:
             raise FormatError(f"JSA header: {exc}") from exc
+        fields = zip(("signal start", "signal step", "idler start", "idler step"),
+                     (s_min, s_step, i_min, i_step))
+        for name, value in fields:
+            if not np.isfinite(value):
+                raise FormatError(f"JSA header: {name} must be finite, got {value}")
         if (n_s, s_min, s_step) != (n_i, i_min, i_step):
             raise FormatError("JSA signal and idler axes must be identical")
         if n_s < 1:
@@ -518,9 +523,12 @@ def read_jsa(path) -> JsaGrid:
     if not np.all(np.isfinite(values)):
         raise FormatError("JSA table values must be finite")
     amp = (values[:, 0] + 1j * values[:, 1]).reshape(n_s, n_i)
-    grid = FrequencyGrid(
-        s_min + np.arange(n_s) * s_step, i_min + np.arange(n_i) * i_step
-    )
+    try:
+        grid = FrequencyGrid(
+            s_min + np.arange(n_s) * s_step, i_min + np.arange(n_i) * i_step
+        )
+    except DomainError as exc:
+        raise FormatError(f"JSA header: {exc}") from exc
     try:
         return JsaGrid(grid, amp)
     except DomainError as exc:

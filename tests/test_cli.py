@@ -210,9 +210,11 @@ class TestSweepCommand:
          ("-2 -2 1 1 1 1", ["0 0"] * 4),
          ("2 2 1 1 1 1", ["nan 0"] + ["0.5 0"] * 3),
          ("2 2 1 1 1 1", ["0.5 0"] * 3 + ["0 inf"]),
-         ("2 2 1 1 1 1", ["1 0"] * 4)],
+         ("2 2 1 1 1 1", ["1 0"] * 4),
+         ("2 2 1 0 1 0", ["0.5 0"] * 4),
+         ("2 2 nan 1 nan 1", ["0.5 0"] * 4)],
         ids=["body-value", "header-count", "negative-count", "nan-value",
-             "inf-value", "doubled-amplitude"],
+             "inf-value", "doubled-amplitude", "zero-step", "nan-header"],
     )
     def test_non_numeric_jsa_file_exit_code(
         self, tmp_path, capsys, header, body
@@ -225,6 +227,25 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error[format]:")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["sweep", "jsa"])
+    @pytest.mark.parametrize(
+        "rows",
+        ["1500 0.1\n1535 nan\n1570 0.9\n", "1570 0.9\n1500 0.1\n",
+         "1500 0.1\n1570 1.5\n"],
+        ids=["nan-value", "unsorted", "above-one"],
+    )
+    def test_bad_splitter_table_exit_code(self, tmp_path, capsys, rows, command):
+        table = tmp_path / "edge_h.txt"
+        table.write_text(rows)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT + f"splitter_table_h = {table}\n")
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error[format]: {table}: ")
         assert len(captured.err.splitlines()) == 1
 
     def test_oversized_tau_points_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -152,6 +152,20 @@ class TestTransmissionTable:
         with pytest.raises(FormatError):
             read_transmission_table(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1500.0 0.1\n1535.0 nan\n1570.0 0.9\n", "values must be finite"),
+         ("1570.0 0.9\n1500.0 0.1\n", "wavelengths must be increasing"),
+         ("1500.0 0.1\n1500.0 0.9\n", "wavelengths must be increasing"),
+         ("1500.0 0.1\n1570.0 1.5\n", r"transmissions must lie in \[0, 1\]")],
+        ids=["nan-value", "unsorted", "repeated", "above-one"],
+    )
+    def test_read_table_rejects_bad_values(self, tmp_path, text, message):
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
+            read_transmission_table(path)
+
     def test_read_table_rejects_single_row(self, tmp_path):
         path = tmp_path / "table.txt"
         path.write_text("1500.0 0.1\n")

@@ -9,8 +9,16 @@ import polentsim
 tomllib = pytest.importorskip("tomllib")
 
 
-def test_version_matches_pyproject():
+def _project():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
-        project = tomllib.load(fh)["project"]
-    assert polentsim.__version__ == project["version"]
+        return tomllib.load(fh)["project"]
+
+
+def test_version_matches_pyproject():
+    assert polentsim.__version__ == _project()["version"]
+
+
+def test_runtime_dependency_is_numpy_only():
+    assert [d.split(">")[0] for d in _project()["dependencies"]] == ["numpy"]
+

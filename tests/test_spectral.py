@@ -453,6 +453,20 @@ class TestJsaFile:
         with pytest.raises(FormatError):
             read_jsa(path)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [("2 2 1 0 1 0", "JSA header: omega_s_axis: axis must be strictly increasing"),
+         ("2 2 1 -1 1 -1", "JSA header: omega_s_axis: axis must be strictly increasing"),
+         ("2 2 nan 1 nan 1", "JSA header: signal start must be finite"),
+         ("2 2 1 inf 1 inf", "JSA header: signal step must be finite")],
+        ids=["zero-step", "negative-step", "nan-start", "inf-step"],
+    )
+    def test_bad_header_axis_rejected(self, tmp_path, header, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("# " + header + "\n" + "0.5 0\n" * 4)
+        with pytest.raises(FormatError, match=message):
+            read_jsa(path)
+
     def test_wrong_row_count_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# 2 2 1e15 1e12 1e15 1e12\n0 0\n0 1\n")
