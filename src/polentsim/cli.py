@@ -23,6 +23,7 @@ from .errors import (
     FormatError,
     ResolutionError,
     SimulationError,
+    decode_errors_as,
 )
 
 _CONFIG_ERRORS = (ConfigError, DomainError, ResolutionError)
@@ -204,7 +205,7 @@ def cmd_metrics(args) -> int:
 
 def _read_observations(path):
     observations = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

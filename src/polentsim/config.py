@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, field
 
 from .dichroic import SplitterResponse, read_transmission_table
-from .errors import ConfigError
+from .errors import ConfigError, decode_errors_as
 from .spectral import FrequencyGrid, PdcModel
 
 _TRUE = {"true", "yes", "on", "1"}
@@ -72,7 +72,7 @@ _MAX_TAU_POINTS = 262_144
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines; unknown keys are an error."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(ConfigError, path):
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

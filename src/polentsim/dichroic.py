@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, decode_errors_as
 from .spectral import FrequencyGrid, omega_to_wavelength
 
 # logistic slope for a given 10-90 width
@@ -111,7 +111,7 @@ def sample_on_grid(resp: SplitterResponse, grid: FrequencyGrid) -> SplitterCurve
 def read_transmission_table(path) -> np.ndarray:
     """Read a two-column ``lambda_nm T`` table into an (n, 2) SI array."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all simulation modules."""
+"""Exception hierarchy shared by all simulation modules, and the UTF-8 guard
+of their file readers."""
+
+from contextlib import contextmanager
 
 
 class SimulationError(Exception):
@@ -51,3 +54,16 @@ class UndefinedVisibilityError(SimulationError):
 
 class InvalidStateError(SimulationError):
     """Matrix fails the density-matrix invariants."""
+
+
+@contextmanager
+def decode_errors_as(error, path):
+    """Raise ``error`` for a byte in ``path`` that is not UTF-8 text.
+
+    Wraps the reads of one text file, so an undecodable input ends in the
+    error category of that file instead of a ``UnicodeDecodeError``.
+    """
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -19,9 +19,11 @@ from .dichroic import SplitterCurves, SplitterResponse, sample_on_grid
 from .errors import (
     DegeneratePostSelectionError,
     DomainError,
+    FormatError,
     InvalidStateError,
     NonphysicalCoherenceError,
     UnidentifiableFitError,
+    decode_errors_as,
 )
 from .spectral import (
     _BAND_VALUES,  # re-exported: the band size of the difference-spectrum sum
@@ -410,11 +412,9 @@ def write_density_matrix(path, rho: PolarizationDensityMatrix) -> None:
 
 def read_density_matrix(path) -> PolarizationDensityMatrix:
     """Read a matrix written by :func:`write_density_matrix`."""
-    from .errors import FormatError
-
     rho = np.zeros((4, 4), dtype=complex)
     seen = np.zeros((4, 4), dtype=bool)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

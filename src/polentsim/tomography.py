@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     FormatError,
     UndefinedVisibilityError,
+    decode_errors_as,
 )
 from .jointstate import PolarizationDensityMatrix
 
@@ -376,7 +377,7 @@ def read_count_table(path) -> CountTable:
     records = []
     acquisition_time = gate_rate = None
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -212,9 +212,11 @@ class TestSweepCommand:
          ("2 2 1 1 1 1", ["0.5 0"] * 3 + ["0 inf"]),
          ("2 2 1 1 1 1", ["1 0"] * 4),
          ("2 2 1 0 1 0", ["0.5 0"] * 4),
-         ("2 2 nan 1 nan 1", ["0.5 0"] * 4)],
+         ("2 2 nan 1 nan 1", ["0.5 0"] * 4),
+         ("2 2 1e308 1e308 1e308 1e308", ["0.5 0"] * 4)],
         ids=["body-value", "header-count", "negative-count", "nan-value",
-             "inf-value", "doubled-amplitude", "zero-step", "nan-header"],
+             "inf-value", "doubled-amplitude", "zero-step", "nan-header",
+             "huge-header"],
     )
     def test_non_numeric_jsa_file_exit_code(
         self, tmp_path, capsys, header, body
@@ -529,3 +531,35 @@ class TestFitCommand:
             ["fit", "--config", config_path, "--observations", str(obs)]
         ) == 4
         assert capsys.readouterr().err.startswith("error[format]:")
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "argv, config_line, category, code",
+        [(["sweep"], "jsa_file = {bad}", "format", 4),
+         (["sweep"], "splitter_table_h = {bad}", "format", 4),
+         (["tomo", "reconstruct", "--counts", "{bad}"], "", "format", 4),
+         (["metrics", "--matrix", "{bad}"], None, "format", 4),
+         (["fit", "--observations", "{bad}"], "", "format", 4),
+         (["sweep", "--config", "{bad}"], None, "config", 2)],
+        ids=["jsa", "splitter-table", "count-table", "density-matrix",
+             "observations", "config"],
+    )
+    def test_non_utf8_byte_is_one_error_line(
+        self, tmp_path, capsys, argv, config_line, category, code
+    ):
+        """A 0xff byte in any input file ends in the file's error category,
+        not in a UnicodeDecodeError traceback."""
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 0\n\xff\n")
+        argv = [arg.format(bad=bad) for arg in argv]
+        if config_line is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(CONFIG_TEXT + config_line.format(bad=bad) + "\n")
+            argv += ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[{category}]: {bad}: not UTF-8 text (invalid start byte)\n"
+        )
