@@ -8,7 +8,6 @@ the Riemann sum of |f|^2 equals one.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +20,7 @@ from .errors import (
     ResolutionError,
     decode_errors_as,
 )
+from .textfloat import parse_pairs
 
 C = 299_792_458.0  # speed of light, m/s
 
@@ -497,97 +497,39 @@ def write_jsa(path, jsa: JsaGrid) -> None:
             fh.write(("%.17g %.17g\n" * (len(block) // 2)) % tuple(block))
 
 
-#: Bytes per read when :func:`read_jsa` hashes a file.
-_HASH_CHUNK = 1 << 20
-
-#: ``(SHA-256 digest, JsaGrid)`` of the last file :func:`read_jsa` parsed.
-#: One tuple, so a reader never pairs one read's digest with another's grid.
-_last_read = None
-
-
-# hashlib is imported where it is used: it loads OpenSSL, about 5 ms of
-# start-up that a process reading no JSA file need not pay
-def _sha256_file(path) -> bytes:
-    import hashlib
-
-    digest = hashlib.sha256()
-    chunk = bytearray(_HASH_CHUNK)
-    view = memoryview(chunk)
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(chunk):
-            digest.update(view[:n])
-    return digest.digest()
-
-
-class _Sha256Reader(io.RawIOBase):
-    """Binary reader that feeds every byte it hands out to a SHA-256."""
-
-    def __init__(self, raw):
-        import hashlib
-
-        self._raw = raw
-        self.sha256 = hashlib.sha256()
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        n = self._raw.readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:n])
-        return n
+#: Bytes of a JSA table read and parsed at a time.
+_TABLE_CHUNK = 1 << 20
 
 
 def read_jsa(path) -> JsaGrid:
-    """Read a JSA table written by :func:`write_jsa`.
-
-    A file whose bytes equal those of the last successful read returns that
-    read's JsaGrid without parsing again, so the process keeps the last JSA
-    it read alive, and the amplitude of a returned JsaGrid is read-only.
-    """
-    global _last_read
-    last = _last_read
-    if last is not None and last[0] == _sha256_file(path):
-        return last[1]
-    # the memo key is the digest of the very bytes parsed, so a file
-    # rewritten between the two reads cannot pair its old digest with its
-    # new values
-    with open(path, "rb", buffering=0) as raw:
-        hashed = _Sha256Reader(raw)
-        with (
-            io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8") as fh,
-            decode_errors_as(FormatError, path),
-        ):
-            jsa = _parse_jsa(fh)
-    jsa.amplitude.flags.writeable = False
-    _last_read = (hashed.sha256.digest(), jsa)
-    return jsa
-
-
-def _parse_jsa(fh) -> JsaGrid:
-    header = fh.readline()
-    if not header.startswith("#"):
-        raise FormatError("missing JSA header line")
-    parts = header[1:].split()
-    if len(parts) != 6:
-        raise FormatError("JSA header needs 6 fields")
-    try:
-        n_s, n_i = int(parts[0]), int(parts[1])
-        s_min, s_step, i_min, i_step = map(float, parts[2:])
-    except ValueError as exc:
-        raise FormatError(f"JSA header: {exc}") from exc
-    fields = zip(("signal start", "signal step", "idler start", "idler step"),
-                 (s_min, s_step, i_min, i_step))
-    for name, value in fields:
-        if not np.isfinite(value):
-            raise FormatError(f"JSA header: {name} must be finite, got {value}")
-    if (n_s, s_min, s_step) != (n_i, i_min, i_step):
-        raise FormatError("JSA signal and idler axes must be identical")
-    if n_s < 1:
-        raise FormatError("JSA point count must be positive")
-    try:
-        values = np.loadtxt(fh, dtype=float, ndmin=2)
-    except ValueError as exc:
-        raise FormatError(f"JSA table: {exc}") from exc
+    """Read a JSA table written by :func:`write_jsa`."""
+    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
+        header = fh.readline()
+        if not header.startswith("#"):
+            raise FormatError("missing JSA header line")
+        parts = header[1:].split()
+        if len(parts) != 6:
+            raise FormatError("JSA header needs 6 fields")
+        try:
+            n_s, n_i = int(parts[0]), int(parts[1])
+            s_min, s_step, i_min, i_step = map(float, parts[2:])
+        except ValueError as exc:
+            raise FormatError(f"JSA header: {exc}") from exc
+        fields = zip(("signal start", "signal step", "idler start", "idler step"),
+                     (s_min, s_step, i_min, i_step))
+        for name, value in fields:
+            if not np.isfinite(value):
+                raise FormatError(f"JSA header: {name} must be finite, got {value}")
+        if (n_s, s_min, s_step) != (n_i, i_min, i_step):
+            raise FormatError("JSA signal and idler axes must be identical")
+        if n_s < 1:
+            raise FormatError("JSA point count must be positive")
+        values = _read_pairs(path, header)
+        if values is None:
+            try:
+                values = np.loadtxt(fh, dtype=float, ndmin=2)
+            except ValueError as exc:
+                raise FormatError(f"JSA table: {exc}") from exc
     if values.shape != (n_s * n_i, 2):
         raise FormatError(
             f"expected {n_s * n_i} complex rows, found {values.shape[0]}"
@@ -612,3 +554,25 @@ def _parse_jsa(fh) -> JsaGrid:
         return JsaGrid(grid, amp)
     except DomainError as exc:
         raise FormatError(f"JSA table: {exc}") from exc
+
+
+def _read_pairs(path, header):
+    """The rows after ``header`` of a table laid out as :func:`write_jsa`
+    lays it out, read chunk by chunk; None for any other layout."""
+    rows = []
+    with open(path, "rb") as raw:
+        if raw.readline() != header.encode("utf-8"):
+            return None  # the header line ends in "\r" or "\r\n"
+        rest = b""
+        while chunk := raw.read(_TABLE_CHUNK):
+            text = rest + chunk
+            cut = text.rfind(b"\n") + 1
+            rest = text[cut:]
+            if cut:
+                part = parse_pairs(memoryview(text)[:cut])
+                if part is None:
+                    return None
+                rows.append(part)
+    if rest or not rows:
+        return None
+    return np.concatenate(rows)

@@ -33,6 +33,7 @@ from polentsim.spectral import (
     wavelength_to_omega,
     write_jsa,
 )
+from polentsim.textfloat import parse_pairs
 
 MODEL = PdcModel()
 GRID = FrequencyGrid.centered(1535.2e-9, 40e-9, n=256)
@@ -40,24 +41,6 @@ GRID = FrequencyGrid.centered(1535.2e-9, 40e-9, n=256)
 SHORT_RIDGE = PdcModel(
     group_index_signal=3.0, group_index_idler=3.6, crystal_length=5e-3
 )
-
-
-@pytest.fixture(scope="module")
-def jsa_file_512(tmp_path_factory):
-    path = tmp_path_factory.mktemp("jsa512") / "jsa.txt"
-    write_jsa(path, build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)))
-    return path
-
-
-def _peak_bytes(fn) -> int:
-    """Largest traced allocation total while ``fn`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
 
 
 @given(st.floats(min_value=100e-9, max_value=10e-6))
@@ -448,6 +431,59 @@ class TestJsaFile:
         assert b"\n-0 4.9406564584124654e-324\n" in path.read_bytes()
         assert np.array_equal(read_jsa(path).amplitude.view(float), amp.view(float))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda text: text.replace(b"\n", b"\r\n"),
+         lambda text: text.replace(b"\n", b"\r", 1),
+         lambda text: text.replace(b" ", b"\t"),
+         lambda text: text + b"# a comment line\n",
+         lambda text: text[:-1]],
+        ids=["crlf", "cr-after-header", "tabs", "comment", "no-final-newline"],
+    )
+    def test_other_layouts_read_to_the_same_values(self, tmp_path, edit):
+        """A table laid out other than the writer lays it out is left to
+        np.loadtxt, which reads the same values."""
+        jsa = build_jsa(MODEL, GRID)
+        path = tmp_path / "jsa.txt"
+        write_jsa(path, jsa)
+        path.write_bytes(edit(path.read_bytes()))
+        assert np.array_equal(read_jsa(path).amplitude, jsa.amplitude)
+
+    def test_writer_layout_is_read_by_parse_pairs(self, tmp_path, monkeypatch):
+        chunks = []
+
+        def spy(body):
+            chunks.append(len(body))
+            return parse_pairs(body)
+
+        jsa = build_jsa(MODEL, GRID)
+        path = tmp_path / "jsa.txt"
+        write_jsa(path, jsa)
+        monkeypatch.setattr(spectral, "parse_pairs", spy)
+        assert np.array_equal(read_jsa(path).amplitude, jsa.amplitude)
+        assert sum(chunks) == path.stat().st_size - len(path.read_text().split("\n")[0]) - 1
+
+    def test_chunk_boundaries_inside_lines(self, tmp_path, monkeypatch):
+        """Chunks of 64 bytes end inside lines; the rows read are the same."""
+        jsa = build_jsa(MODEL, FrequencyGrid(GRID.omega_s_axis[:40], GRID.omega_i_axis[:40]))
+        path = tmp_path / "jsa.txt"
+        write_jsa(path, jsa)
+        monkeypatch.setattr(spectral, "_TABLE_CHUNK", 64)
+        assert np.array_equal(read_jsa(path).amplitude, jsa.amplitude)
+
+    def test_read_holds_one_chunk_of_the_text(self, tmp_path):
+        """At 512 points (12 MB of text, 4 MB of values) a read holds the
+        values, their rows and one chunk of text at a time."""
+        path = tmp_path / "jsa.txt"
+        write_jsa(path, build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)))
+        tracemalloc.start()
+        try:
+            jsa = read_jsa(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * jsa.amplitude.nbytes
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 2\n")
@@ -491,90 +527,3 @@ class TestJsaFile:
         path.write_text("# 2 2 1e15 1e12 1e15 1e12\n0 0\n0 1\n")
         with pytest.raises(FormatError):
             read_jsa(path)
-
-    def test_identical_bytes_at_second_path_return_same_object(self, tmp_path):
-        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_jsa(first, build_jsa(MODEL, GRID))
-        second.write_bytes(first.read_bytes())
-        jsa = read_jsa(first)
-        assert read_jsa(second) is jsa
-
-    def test_same_size_rewrite_gives_new_values(self, tmp_path):
-        path = tmp_path / "jsa.txt"
-        write_jsa(path, build_jsa(MODEL, GRID))
-        before = read_jsa(path)
-        old_values = before.amplitude.copy()
-        # change the ninth significant digit of the peak's real part
-        peak = int(np.argmax(np.abs(old_values)))
-        lines = path.read_bytes().split(b"\n")
-        re_text, im_text = lines[1 + peak].split()
-        pos = re_text.index(b".") + 8
-        digit = b"%d" % ((int(re_text[pos : pos + 1]) + 1) % 10)
-        re_text = re_text[:pos] + digit + re_text[pos + 1 :]
-        lines[1 + peak] = re_text + b" " + im_text
-        size = path.stat().st_size
-        path.write_bytes(b"\n".join(lines))
-        assert path.stat().st_size == size
-        after = read_jsa(path)
-        expected = old_values.copy()
-        expected.flat[peak] = complex(float(re_text), old_values.flat[peak].imag)
-        assert expected.flat[peak] != old_values.flat[peak]
-        assert np.array_equal(after.amplitude, expected)
-        assert np.array_equal(before.amplitude, old_values)
-
-    def test_rewrite_between_hash_and_parse_is_keyed_by_parsed_bytes(
-        self, tmp_path, monkeypatch
-    ):
-        path, other = tmp_path / "jsa.txt", tmp_path / "other.txt"
-        jsa = build_jsa(MODEL, GRID)
-        write_jsa(path, jsa)
-        write_jsa(other, build_jsa(SHORT_RIDGE, GRID))
-        original = path.read_bytes()
-        read_jsa(other)  # a memo of other content: the next read hashes first
-        hash_file = spectral._sha256_file
-
-        def hash_then_rewrite(p):
-            digest = hash_file(p)
-            p.write_bytes(other.read_bytes())
-            return digest
-
-        monkeypatch.setattr(spectral, "_sha256_file", hash_then_rewrite)
-        read_jsa(path)
-        monkeypatch.undo()
-        path.write_bytes(original)
-        assert np.array_equal(read_jsa(path).amplitude, jsa.amplitude)
-
-    def test_returned_amplitude_is_read_only(self, tmp_path):
-        path = tmp_path / "jsa.txt"
-        write_jsa(path, build_jsa(MODEL, GRID))
-        for _ in range(2):  # the parse, then the memo
-            jsa = read_jsa(path)
-            with pytest.raises(ValueError):
-                jsa.amplitude[0, 0] = 0.0
-
-    def test_malformed_file_fails_every_read(self, tmp_path):
-        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
-        write_jsa(good, build_jsa(MODEL, GRID))
-        jsa = read_jsa(good)
-        # every line parses; only the norm check at the end of the parse fails
-        bad.write_text("# 2 2 1 1 1 1\n" + "1 0\n" * 4)
-        for _ in range(2):
-            with pytest.raises(FormatError, match="not normalized"):
-                read_jsa(bad)
-        assert read_jsa(good) is jsa
-
-    def test_memo_hit_hashes_in_chunks(self, jsa_file_512):
-        """A hit reads the 12 MB file one chunk at a time."""
-        jsa = read_jsa(jsa_file_512)
-        assert _peak_bytes(lambda: read_jsa(jsa_file_512)) < 2e6
-        assert read_jsa(jsa_file_512) is jsa
-
-    def test_first_read_holds_parse_plus_one_chunk(self, jsa_file_512, monkeypatch):
-        def parse():
-            with open(jsa_file_512, "r", encoding="utf-8") as fh:
-                spectral._parse_jsa(fh)
-
-        # a memo of other content: the read hashes the file, then parses it
-        monkeypatch.setattr(spectral, "_last_read", (bytes(32), None))
-        first = _peak_bytes(lambda: read_jsa(jsa_file_512))
-        assert first <= _peak_bytes(parse) + spectral._HASH_CHUNK
