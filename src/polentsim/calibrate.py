@@ -49,7 +49,9 @@ def _brent_root(f, a, b, args=(), xtol=2e-12, maxiter=100):
     if fcur == 0.0:
         return xcur
     if (fpre < 0) == (fcur < 0):
-        raise DomainError("root function has the same sign at both ends")
+        raise UnidentifiableFitError(
+            "root function has the same sign at both ends of the bracket"
+        )
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0) != (fcur < 0):
@@ -98,12 +100,14 @@ def _alpha_excess(split, power, template, grid, target_alpha):
     return alpha - target_alpha
 
 
+#: Edge separations (m) searched by :func:`fit_edge_split`, and the root
+#: tolerance (m) of the search.
+_SPLIT_BRACKET = (-10e-9, 10e-9)
+_SPLIT_TOL = 1e-13
+
+
 def fit_edge_split(
-    jsa: JsaGrid,
-    template: SplitterResponse,
-    target_alpha: float,
-    bracket: tuple[float, float] = (-10e-9, 10e-9),
-    tol: float = 1e-13,
+    jsa: JsaGrid, template: SplitterResponse, target_alpha: float
 ) -> SplitterResponse:
     """Find the H-V edge separation reproducing a diagonal weight.
 
@@ -111,18 +115,10 @@ def fit_edge_split(
     swap-symmetric pair amplitude, so the asymmetry is carried entirely
     by the per-polarization edge separation fitted here.  The weight is
     the one :func:`~polentsim.jointstate.post_select` reports, evaluated
-    from |f|^2 and the two edge curves without building g and h.
+    from |f|^2 and the two edge curves without building g and h.  A
+    target that no split in _SPLIT_BRACKET reaches raises
+    UnidentifiableFitError.
     """
     args = (_power(jsa.amplitude), template, jsa.grid, target_alpha)
-    lo, hi = bracket
-    f_lo, f_hi = _alpha_excess(lo, *args), _alpha_excess(hi, *args)
-    if f_lo == 0.0:
-        return split_edges(template, lo)
-    if f_hi == 0.0:
-        return split_edges(template, hi)
-    if f_lo * f_hi > 0:
-        raise UnidentifiableFitError(
-            "target weight not reachable within the edge-split bracket"
-        )
-    split = _brent_root(_alpha_excess, lo, hi, args, xtol=tol)
+    split = _brent_root(_alpha_excess, *_SPLIT_BRACKET, args, xtol=_SPLIT_TOL)
     return split_edges(template, split)

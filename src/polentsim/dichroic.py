@@ -102,9 +102,9 @@ class SplitterCurves:
 
 
 def sample_on_grid(resp: SplitterResponse, grid: FrequencyGrid) -> SplitterCurves:
-    """Sample T/R for H on the signal axis and V on the idler axis."""
-    t_h = resp.transmission(grid.omega_s_axis, "H")
-    t_v = resp.transmission(grid.omega_i_axis, "V")
+    """Sample T/R for H (signal) and V (idler) on the shared axis."""
+    t_h = resp.transmission(grid.axis, "H")
+    t_v = resp.transmission(grid.axis, "V")
     return SplitterCurves(t_h=t_h, r_h=1.0 - t_h, t_v=t_v, r_v=1.0 - t_v)
 
 

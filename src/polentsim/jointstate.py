@@ -25,12 +25,7 @@ from .errors import (
     UnidentifiableFitError,
     decode_errors_as,
 )
-from .spectral import (
-    _BAND_VALUES,  # re-exported: the band size of the difference-spectrum sum
-    FrequencyGrid,
-    JsaGrid,
-    _antidiagonal_sums,
-)
+from .spectral import FrequencyGrid, JsaGrid, _antidiagonal_sums
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
@@ -82,12 +77,9 @@ class PostSelectedAmplitudes:
         diagonal j - k collapses the grid onto 2n - 1 terms, zero-padded to
         a K x B table with B the ceiling of sqrt(2n - 1).  The sum runs over
         bands of rows, so no grid-sized temporary is made.  Computed on
-        first use; needs identical axes, on which h with swapped arguments
-        is h.T.
+        first use.
         """
-        if not self.grid.axes_match():
-            raise DomainError("coherence needs identical signal and idler axes")
-        n = self.grid.n_s
+        n = self.grid.n
         terms = 2 * n - 1
         block = math.isqrt(terms - 1) + 1
         f = self.amplitude
@@ -110,7 +102,7 @@ class PostSelectedAmplitudes:
         weights *= self.grid.cell / self.norm_constant
         table = weights.reshape(-1, block)
         table.flags.writeable = False  # shared cache
-        return self.grid.d_omega_s, table
+        return self.grid.d_omega, table
 
 
 def _cross_path_weights(power, curves: SplitterCurves, cell: float):
@@ -173,7 +165,7 @@ def _coherence(amps: PostSelectedAmplitudes, tau, model=None) -> np.ndarray:
     d_omega, table = amps.difference_spectrum
     blocks, block = table.shape
     fine = np.exp(1j * np.multiply.outer(tau, np.arange(block) * d_omega))
-    first = 1 - amps.grid.n_s
+    first = 1 - amps.grid.n
     coarse = np.exp(
         1j * np.multiply.outer(tau, (first + block * np.arange(blocks)) * d_omega)
     )
@@ -337,16 +329,16 @@ def apply_degradation(sweep: DelaySweep, model: DegradationModel):
     )
 
 
-def fit_degradation(
-    sweep: DelaySweep,
-    observations,
-    offset_resolution: float = 0.5e-15,
-    offset_range: tuple[float, float] | None = None,
-) -> DegradationModel:
+#: Step (s) of the offset scan of :func:`fit_degradation`.
+_OFFSET_RESOLUTION = 0.5e-15
+
+
+def fit_degradation(sweep: DelaySweep, observations) -> DegradationModel:
     """Least-squares (scale, offset) fit to measured coherence values.
 
     ``observations`` is a sequence of (tau, D_measured).  The offset is
-    scanned densely; the optimal real scale per offset is closed-form.
+    scanned in steps of _OFFSET_RESOLUTION over plus or minus half the
+    sweep window; the optimal real scale per offset is closed-form.
     """
     obs = list(observations)
     if len(obs) < 2:
@@ -357,10 +349,8 @@ def fit_degradation(
         raise DomainError("observations must be finite")
     if np.all(np.abs(obs_d) == 0.0):
         raise UnidentifiableFitError("all observed coherences are zero")
-    if offset_range is None:
-        half_span = (sweep.tau[-1] - sweep.tau[0]) / 2.0
-        offset_range = (-half_span, half_span)
-    offsets = np.arange(offset_range[0], offset_range[1], offset_resolution)
+    half_span = (sweep.tau[-1] - sweep.tau[0]) / 2.0
+    offsets = np.arange(-half_span, half_span, _OFFSET_RESOLUTION)
     # one row per offset; each row repeats the arithmetic of a scalar scan
     theory = _interp_complex(obs_tau - offsets[:, None], sweep.tau, sweep.d)
     denom = np.sum(np.abs(theory) ** 2, axis=1)

@@ -9,7 +9,7 @@ the Riemann sum of |f|^2 equals one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,69 +42,64 @@ def omega_to_wavelength(omega):
     return 2.0 * np.pi * C / np.asarray(omega, dtype=float)
 
 
-def _check_uniform_axis(axis, name):
+def _check_uniform_axis(axis):
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size < 2:
-        raise DomainError(f"{name}: need at least 2 points")
+        raise DomainError("axis: need at least 2 points")
     if not np.all(np.isfinite(axis)):
-        raise DomainError(f"{name}: axis must be finite")
+        raise DomainError("axis: values must be finite")
     steps = np.diff(axis)
     if np.any(steps <= 0):
-        raise DomainError(f"{name}: axis must be strictly increasing")
+        raise DomainError("axis: must be strictly increasing")
     step = steps[0]
     # allow a few ulps of the axis magnitude: differences of large values
     # are exact only up to rounding of the values themselves
     tol = 1e-12 * abs(step) + 4.0 * np.spacing(np.abs(axis).max())
     if np.max(np.abs(steps - step)) > tol:
-        raise DomainError(f"{name}: axis must be uniformly spaced")
+        raise DomainError("axis: must be uniformly spaced")
     return axis
 
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform signal x idler angular-frequency grid (rad/s)."""
+    """Uniform angular-frequency axis (rad/s) shared by signal and idler.
 
-    omega_s_axis: np.ndarray
-    omega_i_axis: np.ndarray
+    The coherence D(tau) pairs g(omega_s, omega_i) with h(omega_i,
+    omega_s), so it exists only where both photons are sampled on the same
+    axis; the grid is ``axis`` x ``axis``.
+    """
+
+    axis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "omega_s_axis", _check_uniform_axis(self.omega_s_axis, "omega_s_axis")
-        )
-        object.__setattr__(
-            self, "omega_i_axis", _check_uniform_axis(self.omega_i_axis, "omega_i_axis")
-        )
+        object.__setattr__(self, "axis", _check_uniform_axis(self.axis))
 
     @property
-    def n_s(self) -> int:
-        return self.omega_s_axis.size
+    def omega_s_axis(self) -> np.ndarray:
+        """The signal axis, which is ``axis``."""
+        return self.axis
 
     @property
-    def n_i(self) -> int:
-        return self.omega_i_axis.size
+    def omega_i_axis(self) -> np.ndarray:
+        """The idler axis, which is ``axis``."""
+        return self.axis
 
     @property
-    def d_omega_s(self) -> float:
-        return float(self.omega_s_axis[1] - self.omega_s_axis[0])
+    def n(self) -> int:
+        return self.axis.size
 
     @property
-    def d_omega_i(self) -> float:
-        return float(self.omega_i_axis[1] - self.omega_i_axis[0])
+    def d_omega(self) -> float:
+        return float(self.axis[1] - self.axis[0])
 
     @property
     def cell(self) -> float:
-        """Area element d_omega_s * d_omega_i."""
-        return self.d_omega_s * self.d_omega_i
-
-    def axes_match(self) -> bool:
-        """True when both axes are numerically identical (square grid)."""
-        return self.n_s == self.n_i and np.array_equal(
-            self.omega_s_axis, self.omega_i_axis
-        )
+        """Area element d_omega^2."""
+        return self.d_omega * self.d_omega
 
     @classmethod
     def centered(cls, center_wavelength, width_wavelength, n=512):
-        """Cell-centered grid spanning a wavelength window on both axes.
+        """Cell-centered grid spanning a wavelength window.
 
         Cell-centered sampling makes the plain Riemann sums used throughout
         converge at second order, which the grid-refinement checks rely on.
@@ -118,8 +113,7 @@ class FrequencyGrid:
         w_lo = wavelength_to_omega(lam_hi)
         w_hi = wavelength_to_omega(lam_lo)
         step = (w_hi - w_lo) / n
-        axis = w_lo + (np.arange(n) + 0.5) * step
-        return cls(axis, axis.copy())
+        return cls(w_lo + (np.arange(n) + 0.5) * step)
 
 
 def _default_group_indices(crystal_length, intrinsic_delay_comp):
@@ -209,7 +203,7 @@ class JsaGrid:
 
     def __post_init__(self):
         amp = np.asarray(self.amplitude, dtype=complex)
-        if amp.shape != (self.grid.n_s, self.grid.n_i):
+        if amp.shape != (self.grid.n, self.grid.n):
             raise DomainError("amplitude shape does not match the grid")
         object.__setattr__(self, "amplitude", amp)
         norm = self.norm()
@@ -338,28 +332,26 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
     signal and idler group indices (J = 0) the sinc^2 ridge never ends and
     the fraction is its limit, exactly 1.
     """
-    step = max(grid.d_omega_s, grid.d_omega_i)
-    if model.pump_bandwidth_omega / (2.0 * step) < 8.0:
+    points = model.pump_bandwidth_omega / (2.0 * grid.d_omega)
+    if points < 8.0:
         raise ResolutionError(
             "grid too coarse across the pump bandwidth "
-            f"({model.pump_bandwidth_omega / (2.0 * step):.1f} points, need >= 8)"
+            f"({points:.1f} points, need >= 8)"
         )
-    axis_s, axis_i = grid.omega_s_axis, grid.omega_i_axis
-    if np.any(axis_s <= 0) or np.any(axis_i <= 0):
+    axis = grid.axis
+    if np.any(axis <= 0):
         raise DomainError("frequencies must be positive")
-    signal, idler, constant = _mismatch_terms(model, axis_s, axis_i)
+    signal, idler, constant = _mismatch_terms(model, axis, axis)
     half_length = model.crystal_length / (2.0 * C)
     x_s = (signal + constant) * half_length
     x_i = idler * half_length
     # omega - omega_p / 2 is exact near degeneracy; the pump detuning is
-    # the sum of the two per-axis detunings
-    half_pump = model.omega_pump_center / 2.0
-    u_s = (axis_s - half_pump) / model.pump_bandwidth_omega
-    u_i = (axis_i - half_pump) / model.pump_bandwidth_omega
+    # the sum of the signal and idler detunings
+    u = (axis - model.omega_pump_center / 2.0) / model.pump_bandwidth_omega
     phase_s, phase_i = np.exp(1j * x_s), np.exp(1j * x_i)
-    amplitude = np.empty((grid.n_s, grid.n_i), dtype=complex)
+    amplitude = np.empty((grid.n, grid.n), dtype=complex)
     norm_in = 0.0
-    for rows in _row_bands(grid.n_s, grid.n_i):
+    for rows in _row_bands(grid.n, grid.n):
         band = amplitude[rows]
         np.multiply.outer(phase_s[rows], phase_i, out=band)
         x = np.add.outer(x_s[rows], x_i)
@@ -369,7 +361,7 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
         # Im(e^{i x_s} e^{i x_i}) is sin(x_s + x_i) by the angle-sum identity
         envelope = np.divide(band.imag, x)
         envelope.flat[near] = _sinc(x_near)
-        envelope *= _gaussian(np.add.outer(u_s[rows], u_i))
+        envelope *= _gaussian(np.add.outer(u[rows], u))
         norm_in += float(np.vdot(envelope, envelope))
         band *= envelope
     norm_in *= grid.cell
@@ -398,55 +390,49 @@ def _window(axis, lam_lo, lam_hi) -> slice:
 
 
 def apply_bandpass(jsa: JsaGrid, center_wavelength, width) -> JsaGrid:
-    """Top-hat band-pass on both axes, then renormalize.
+    """Top-hat band-pass on both photons: crop to the window, renormalize.
 
-    The window is one index range per axis, so the kept block is copied
-    into a zeroed grid.  The discarded-norm fraction of the result is the
-    out-of-window share of the input norm.
+    Wavelength is monotone in frequency, so the window is one index range
+    of the shared axis, and the result is that block on the cropped grid.
+    The discarded-norm fraction of the result is the out-of-window share
+    of the input norm.
     """
     if width <= 0:
         raise DomainError("filter width must be positive")
     lam_lo = center_wavelength - width / 2.0
     lam_hi = center_wavelength + width / 2.0
-    rows = _window(jsa.grid.omega_s_axis, lam_lo, lam_hi)
-    cols = _window(jsa.grid.omega_i_axis, lam_lo, lam_hi)
-    if rows.start == rows.stop or cols.start == cols.stop:
-        raise EmptySupportError("band-pass window does not overlap the grid")
-    filtered = np.zeros_like(jsa.amplitude)
-    block = filtered[rows, cols]
-    block[...] = jsa.amplitude[rows, cols]
-    norm_in = _riemann_power(filtered, jsa.grid.cell)
+    grid = jsa.grid
+    w = _window(grid.axis, lam_lo, lam_hi)
+    if w.stop - w.start < 2:
+        raise EmptySupportError("band-pass window holds fewer than 2 grid points")
+    # one contiguous copy: the norm and the scaling then read it in order
+    block = jsa.amplitude[w, w].copy()
+    norm_in = _riemann_power(block, grid.cell)
     if norm_in <= 0:
         raise EmptySupportError("band-pass window has no amplitude support")
     discarded = float(1.0 - norm_in / jsa.norm())
     block *= 1.0 / np.sqrt(norm_in)
-    return JsaGrid(jsa.grid, filtered, discarded_fraction=discarded)
+    return JsaGrid(FrequencyGrid(grid.axis[w]), block, discarded_fraction=discarded)
 
 
 def antidiagonal_marginal(jsa: JsaGrid):
     """Marginal of |f|^2 over the signal+idler sum frequency.
 
-    Returns (sum_frequencies, density); only defined for grids with a
-    common step on both axes so the sums fall on a uniform axis.
+    Returns (sum_frequencies, density): cell (j, k) has sum frequency
+    2 omega[0] + (j + k) d_omega, so the sums fall on a uniform axis of
+    step d_omega.
     """
     grid = jsa.grid
-    if abs(grid.d_omega_s - grid.d_omega_i) > 1e-9 * grid.d_omega_s:
-        raise DomainError("marginal requires equal axis steps")
     f = jsa.amplitude
 
     def fill(rows, band):
         np.square(f[rows].real, out=band)
         band += np.square(f[rows].imag)
 
-    # cell (j, k) has sum frequency omega_s[0] + omega_i[0] + (j + k) d_omega
-    density = _antidiagonal_sums(grid.n_s, grid.n_i, fill)
-    offsets = np.arange(-(grid.n_i - 1), grid.n_s)
-    sums = (
-        grid.omega_s_axis[0]
-        + grid.omega_i_axis[-1]
-        + offsets * grid.d_omega_s
-    )
-    return sums, density * grid.cell / grid.d_omega_s
+    density = _antidiagonal_sums(grid.n, grid.n, fill)
+    offsets = np.arange(1 - grid.n, grid.n)
+    sums = grid.axis[0] + grid.axis[-1] + offsets * grid.d_omega
+    return sums, density * grid.d_omega
 
 
 def marginal_fwhm(axis, density) -> float:
@@ -480,14 +466,8 @@ def write_jsa(path, jsa: JsaGrid) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             "# %d %d %.17g %.17g %.17g %.17g\n"
-            % (
-                grid.n_s,
-                grid.n_i,
-                grid.omega_s_axis[0],
-                grid.d_omega_s,
-                grid.omega_i_axis[0],
-                grid.d_omega_i,
-            )
+            % (grid.n, grid.n, grid.axis[0], grid.d_omega, grid.axis[0],
+               grid.d_omega)
         )
         # one format call per block of rows keeps the string a few MB
         values = np.ascontiguousarray(jsa.amplitude).view(float)
@@ -530,9 +510,9 @@ def read_jsa(path) -> JsaGrid:
                 values = np.loadtxt(fh, dtype=float, ndmin=2)
             except ValueError as exc:
                 raise FormatError(f"JSA table: {exc}") from exc
-    if values.shape != (n_s * n_i, 2):
+    if values.shape != (n_s * n_s, 2):
         raise FormatError(
-            f"expected {n_s * n_i} complex rows, found {values.shape[0]}"
+            f"expected {n_s * n_s} complex rows, found {values.shape[0]}"
         )
     # n_s is now bounded by the row count, and an axis whose last point is
     # finite has every point finite: start + k * step is monotone in k
@@ -543,11 +523,9 @@ def read_jsa(path) -> JsaGrid:
         )
     if not np.all(np.isfinite(values)):
         raise FormatError("JSA table values must be finite")
-    amp = (values[:, 0] + 1j * values[:, 1]).reshape(n_s, n_i)
+    amp = (values[:, 0] + 1j * values[:, 1]).reshape(n_s, n_s)
     try:
-        grid = FrequencyGrid(
-            s_min + np.arange(n_s) * s_step, i_min + np.arange(n_i) * i_step
-        )
+        grid = FrequencyGrid(s_min + np.arange(n_s) * s_step)
     except DomainError as exc:
         raise FormatError(f"JSA header: {exc}") from exc
     try:

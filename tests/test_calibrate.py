@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 import polentsim
-from polentsim.calibrate import _alpha_excess, _brent_root
+from polentsim.calibrate import _SPLIT_BRACKET, _SPLIT_TOL, _alpha_excess, _brent_root
 from polentsim.dichroic import SplitterResponse
-from polentsim.errors import ConvergenceError, DomainError
+from polentsim.errors import ConvergenceError, DomainError, UnidentifiableFitError
 from polentsim.jointstate import _power
 from polentsim.spectral import FrequencyGrid, PdcModel, build_jsa
 
 GRID = FrequencyGrid.centered(1535.2e-9, 40e-9, 512)
-BRACKET = (-10e-9, 10e-9)
 
 
 def _cube_excess(x):
@@ -34,8 +33,9 @@ def test_matches_scipy_brentq_bit_for_bit():
         template = SplitterResponse(step_width=rng.uniform(5e-9, 9e-9))
         target = rng.uniform(0.45, 0.62)
         args = (_power(build_jsa(model, GRID).amplitude), template, GRID, target)
-        split = _brent_root(_alpha_excess, *BRACKET, args, xtol=1e-13)
-        assert split == brentq(_alpha_excess, *BRACKET, args=args, xtol=1e-13)
+        lo, hi = _SPLIT_BRACKET
+        split = _brent_root(_alpha_excess, lo, hi, args, xtol=_SPLIT_TOL)
+        assert split == brentq(_alpha_excess, lo, hi, args=args, xtol=_SPLIT_TOL)
 
 
 def test_matches_scipy_brentq_on_steep_and_flat_roots():
@@ -81,7 +81,7 @@ def test_nonpositive_tolerance_rejected(xtol):
 
 
 def test_unbracketed_root_rejected():
-    with pytest.raises(DomainError, match="same sign"):
+    with pytest.raises(UnidentifiableFitError, match="same sign"):
         _brent_root(_cube_excess, 2.0, 3.0)
 
 

@@ -49,8 +49,8 @@ class TestJsaCommand:
         # Riemann norm in the window over the whole-plane closed form
         # dw_p sqrt(pi / (4 ln 2)) pi / |J|, J = (L / 2c)(n_gs - n_gi)
         model = RunConfig.load(config_path).pdc_model()
-        ws = jsa.grid.omega_s_axis[:, None]
-        wi = jsa.grid.omega_i_axis[None, :]
+        ws = jsa.grid.axis[:, None]
+        wi = jsa.grid.axis[None, :]
         amp = pump_envelope(model, ws + wi) * phase_matching(model, ws, wi)
         kept = np.sum(np.abs(amp) ** 2) * jsa.grid.cell
         j = model.crystal_length / (2 * C) * (

@@ -80,8 +80,7 @@ class TestRunConfig:
 
     def test_grid_matches_settings(self):
         grid = RunConfig({"grid_points": 64}).grid()
-        assert grid.n_s == 64
-        assert grid.axes_match()
+        assert grid.n == 64
 
     def test_splitter_from_config(self):
         resp = RunConfig(

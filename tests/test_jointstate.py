@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polentsim import calibrate, jointstate
 from polentsim.calibrate import fit_edge_split, split_edges
 from polentsim.dichroic import SplitterResponse, sample_on_grid
 from polentsim.errors import (
@@ -22,7 +23,6 @@ from polentsim.jointstate import (
     DegradationModel,
     DelaySweep,
     PolarizationDensityMatrix,
-    _BAND_VALUES,
     _coherence,
     _cross_path_weights,
     _interp_complex,
@@ -39,7 +39,13 @@ from polentsim.jointstate import (
     write_density_matrix,
     write_sweep,
 )
-from polentsim.spectral import FrequencyGrid, JsaGrid, PdcModel, build_jsa
+from polentsim.spectral import (
+    _BAND_VALUES,
+    FrequencyGrid,
+    JsaGrid,
+    PdcModel,
+    build_jsa,
+)
 
 MODEL = PdcModel()
 GRID = FrequencyGrid.centered(1535.2e-9, 40e-9, n=256)
@@ -65,8 +71,8 @@ def random_splitter(rng):
 
 def direct_coherence(amps, tau):
     """O(n^2) double sum of h(omega_i, omega_s) conj(g) e^{i tau (omega_s - omega_i)}."""
-    ws = amps.grid.omega_s_axis[:, None]
-    wi = amps.grid.omega_i_axis[None, :]
+    ws = amps.grid.axis[:, None]
+    wi = amps.grid.axis[None, :]
     terms = amps.h.T * np.conj(amps.g) * np.exp(1j * tau * (ws - wi))
     return complex(np.sum(terms) * amps.grid.cell / amps.norm_constant)
 
@@ -78,10 +84,9 @@ def loop_reference(jsa, splitter, tau):
     normalization and coherence sums with explicit Python loops, with no
     shared code path with the vectorized pipeline.
     """
-    ws = jsa.grid.omega_s_axis
-    wi = jsa.grid.omega_i_axis
+    ws = wi = jsa.grid.axis
     cell = jsa.grid.cell
-    n_s, n_i = jsa.grid.n_s, jsa.grid.n_i
+    n_s = n_i = jsa.grid.n
     g = np.zeros((n_s, n_i), dtype=complex)
     h = np.zeros((n_s, n_i), dtype=complex)
     for j in range(n_s):
@@ -159,19 +164,6 @@ class TestPostSelect:
             tracemalloc.stop()
         assert peak <= 5e6
         assert np.array_equal(jsa.amplitude, before)
-
-
-class TestUnequalAxes:
-    def test_coherence_rejects_unequal_axes(self):
-        axis = FrequencyGrid.centered(1535.2e-9, 40e-9, n=8).omega_s_axis
-        grid = FrequencyGrid(axis, axis + (axis[1] - axis[0]))
-        rng = np.random.default_rng(5)
-        jsa = JsaGrid.normalized(grid, rng.normal(size=(8, 8)) + 0j)
-        amps = post_select(jsa, SplitterResponse())
-        with pytest.raises(DomainError):
-            d_parameter(amps, 0.0)
-        with pytest.raises(DomainError):
-            delay_sweep(amps, -100e-15, 100e-15, 5)
 
 
 class TestLoopOracle:
@@ -395,16 +387,14 @@ class TestDegradation:
             fit_degradation(sweep, [(0.0, 0.0j), (10e-15, 0.0j)])
 
 
-def fit_degradation_loop(sweep, observations, offset_resolution=0.5e-15,
-                         offset_range=None):
-    """Offset-by-offset scan: the reference for the vectorized fit."""
+def fit_degradation_loop(sweep, observations):
+    """Offset-by-offset scan: the reference for the vectorized fit, on the
+    same offsets (the module's resolution over half the sweep window)."""
     obs = list(observations)
     obs_tau = np.array([t for t, _ in obs], dtype=float)
     obs_d = np.array([d for _, d in obs], dtype=complex)
-    if offset_range is None:
-        half_span = (sweep.tau[-1] - sweep.tau[0]) / 2.0
-        offset_range = (-half_span, half_span)
-    offsets = np.arange(offset_range[0], offset_range[1], offset_resolution)
+    half_span = (sweep.tau[-1] - sweep.tau[0]) / 2.0
+    offsets = np.arange(-half_span, half_span, jointstate._OFFSET_RESOLUTION)
     best = None
     for t0 in offsets:
         theory = _interp_complex(obs_tau - t0, sweep.tau, sweep.d)
@@ -429,7 +419,7 @@ class TestFitDegradationOracle:
         return delay_sweep(amps, -400e-15, 400e-15, 801)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_matches_scalar_scan_exactly(self, seed):
+    def test_matches_scalar_scan_exactly(self, seed, monkeypatch):
         sweep = self._sweep()
         rng = np.random.default_rng(seed)
         count = (2, 3, 9, 20)[seed]
@@ -437,10 +427,15 @@ class TestFitDegradationOracle:
         d = 0.3 * (rng.normal(size=count) + 1j * rng.normal(size=count))
         obs = list(zip(tau, d))
         assert fit_degradation(sweep, obs) == fit_degradation_loop(sweep, obs)
-        window = (-100e-15, 150e-15)
-        assert fit_degradation(sweep, obs, 1e-15, window) == fit_degradation_loop(
-            sweep, obs, 1e-15, window
+        # a coarser scan over the offsets of a -100 to +150 fs sweep
+        window = slice(300, 551)
+        part = DelaySweep(
+            tau=sweep.tau[window], d=sweep.d[window], alpha=sweep.alpha[window],
+            beta=sweep.beta[window], purity=sweep.purity[window],
+            phase=sweep.phase[window],
         )
+        monkeypatch.setattr(jointstate, "_OFFSET_RESOLUTION", 1e-15)
+        assert fit_degradation(part, obs) == fit_degradation_loop(part, obs)
 
     def test_inadmissible_offsets_and_ties(self):
         """Coherence zero on half the window and a flat plateau elsewhere:
@@ -497,6 +492,20 @@ class TestEdgeSplit:
         splitter = fit_edge_split(jsa, self.TEMPLATE, 0.55)
         alpha, _ = diagonal_weights(post_select(jsa, splitter))
         assert alpha == pytest.approx(0.55, abs=1e-6)
+
+    def test_no_split_is_evaluated_twice(self, monkeypatch):
+        """The bracket ends are evaluated once, by the root search."""
+        seen = []
+
+        def spy(split, *args):
+            seen.append(split)
+            return excess(split, *args)
+
+        excess = calibrate._alpha_excess
+        monkeypatch.setattr(calibrate, "_alpha_excess", spy)
+        fit_edge_split(build_jsa(MODEL, GRID), self.TEMPLATE, 0.55)
+        assert seen[:2] == list(calibrate._SPLIT_BRACKET)
+        assert len(set(seen)) == len(seen)
 
     def test_unreachable_target_rejected(self):
         with pytest.raises(UnidentifiableFitError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polentsim import jointstate, spectral
+from polentsim.calibrate import fit_edge_split
 from polentsim.dichroic import SplitterResponse
 from polentsim.errors import (
     DomainError,
@@ -53,32 +54,24 @@ def test_wavelength_omega_round_trip(lam):
 class TestFrequencyGrid:
     def test_rejects_short_axis(self):
         with pytest.raises(DomainError):
-            FrequencyGrid(np.array([1.0e15]), np.array([1.0e15, 1.1e15]))
+            FrequencyGrid(np.array([1.0e15]))
 
     def test_rejects_nonuniform_axis(self):
-        axis = np.array([1.0e15, 1.1e15, 1.25e15])
         with pytest.raises(DomainError):
-            FrequencyGrid(axis, axis)
+            FrequencyGrid(np.array([1.0e15, 1.1e15, 1.25e15]))
 
     def test_rejects_decreasing_axis(self):
-        axis = np.array([1.2e15, 1.1e15, 1.0e15])
         with pytest.raises(DomainError):
-            FrequencyGrid(axis, axis)
+            FrequencyGrid(np.array([1.2e15, 1.1e15, 1.0e15]))
 
     def test_centered_is_cell_centered(self):
         grid = FrequencyGrid.centered(1535.2e-9, 40e-9, n=64)
         w_lo = wavelength_to_omega(1535.2e-9 + 20e-9)
         w_hi = wavelength_to_omega(1535.2e-9 - 20e-9)
         step = (w_hi - w_lo) / 64
-        assert grid.omega_s_axis[0] == pytest.approx(w_lo + step / 2, rel=1e-12)
-        assert grid.omega_s_axis[-1] == pytest.approx(w_hi - step / 2, rel=1e-12)
-        assert grid.axes_match()
-
-    def test_axes_match_false_for_different_axes(self):
-        grid = FrequencyGrid(
-            GRID.omega_s_axis, GRID.omega_i_axis + GRID.d_omega_i
-        )
-        assert not grid.axes_match()
+        assert grid.axis[0] == pytest.approx(w_lo + step / 2, rel=1e-12)
+        assert grid.axis[-1] == pytest.approx(w_hi - step / 2, rel=1e-12)
+        assert grid.omega_s_axis is grid.axis and grid.omega_i_axis is grid.axis
 
 
 class TestPumpEnvelope:
@@ -152,8 +145,8 @@ class TestBuildJsa:
         j, k = np.unravel_index(
             np.argmax(np.abs(jsa.amplitude)), jsa.amplitude.shape
         )
-        w_sum = GRID.omega_s_axis[j] + GRID.omega_i_axis[k]
-        assert abs(w_sum - MODEL.omega_pump_center) < 2 * GRID.d_omega_s
+        w_sum = GRID.axis[j] + GRID.axis[k]
+        assert abs(w_sum - MODEL.omega_pump_center) < 2 * GRID.d_omega
 
     def test_too_coarse_grid_rejected(self):
         coarse = FrequencyGrid.centered(1535.2e-9, 40e-9, n=8)
@@ -170,7 +163,7 @@ class TestBuildJsa:
             (MODEL, GRID),
             (
                 PdcModel(pump_bandwidth_fwhm=1.1e-9, crystal_length=2.3e-3),
-                FrequencyGrid(GRID.omega_s_axis[:200], GRID.omega_i_axis[40:]),
+                FrequencyGrid(GRID.axis[40:]),  # off-centre
             ),
             # 512 rows: four bands of rows
             (SHORT_RIDGE, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)),
@@ -183,8 +176,8 @@ class TestBuildJsa:
         pump x sinc(dk L/2) exp(i dk L/2) on the same float inputs to 1e-13
         of the peak."""
         ld = np.longdouble
-        ws = grid.omega_s_axis.astype(ld)[:, None]
-        wi = grid.omega_i_axis.astype(ld)[None, :]
+        ws = grid.axis.astype(ld)[:, None]
+        wi = grid.axis.astype(ld)[None, :]
         w0, wp = ld(model.omega_degeneracy), ld(model.omega_pump_center)
         dk = (
             ld(model.group_index_pump) * (ws + wi - wp)
@@ -226,8 +219,8 @@ class TestBuildJsa:
 
         def riemann_norm(width, n):
             grid = FrequencyGrid.centered(1535.2e-9, width, n=n)
-            ws = grid.omega_s_axis[:, None]
-            wi = grid.omega_i_axis[None, :]
+            ws = grid.axis[:, None]
+            wi = grid.axis[None, :]
             amp = pump_envelope(model, ws + wi) * phase_matching(model, ws, wi)
             return np.sum(np.abs(amp) ** 2) * grid.cell
 
@@ -274,77 +267,72 @@ class TestBuildJsa:
 
 class TestAntidiagonalMarginal:
     def test_matches_double_loop_on_rectangular_grid(self):
-        axis = GRID.omega_s_axis
-        grid = FrequencyGrid(axis[:8], axis[20:32])  # 8 x 12, common step
+        axis = GRID.axis
+        grid = FrequencyGrid(axis[20:32])  # 12 x 12, off-centre
         rng = np.random.default_rng(3)
-        amp = rng.normal(size=(8, 12)) + 1j * rng.normal(size=(8, 12))
+        amp = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         jsa = JsaGrid.normalized(grid, amp)
         sums, density = antidiagonal_marginal(jsa)
-        expected = np.zeros(8 + 12 - 1)
-        for j in range(8):
+        expected = np.zeros(12 + 12 - 1)
+        for j in range(12):
             for k in range(12):
                 expected[j + k] += abs(jsa.amplitude[j, k]) ** 2
-        expected *= grid.cell / grid.d_omega_s
+        expected *= grid.cell / grid.d_omega
         assert np.allclose(density, expected, rtol=1e-14, atol=0)
-        step = grid.d_omega_s
+        step = grid.d_omega
         assert np.allclose(
-            sums, axis[0] + axis[20] + step * np.arange(19), rtol=1e-15, atol=0
+            sums, 2 * axis[20] + step * np.arange(23), rtol=1e-15, atol=0
         )
-
 
     def test_matches_bincount_over_several_bands(self):
-        """300 x 280 cells: the band sum runs over two bands of rows, the
+        """300 x 300 cells: the band sum runs over two bands of rows, the
         second one shorter, and agrees with an index-array bincount."""
-        axis = FrequencyGrid.centered(1535.2e-9, 40e-9, n=600).omega_s_axis
-        grid = FrequencyGrid(axis[:300], axis[150:430])
-        assert spectral._BAND_VALUES // grid.n_i < grid.n_s
+        axis = FrequencyGrid.centered(1535.2e-9, 40e-9, n=600).axis
+        grid = FrequencyGrid(axis[:300])  # off-centre
+        rows = spectral._BAND_VALUES // grid.n
+        assert rows < grid.n < 2 * rows
         rng = np.random.default_rng(8)
         jsa = JsaGrid.normalized(
-            grid, rng.normal(size=(300, 280)) + 1j * rng.normal(size=(300, 280))
+            grid, rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
         )
         _, density = antidiagonal_marginal(jsa)
-        index_sum = np.add.outer(np.arange(300), np.arange(280)).ravel()
+        index_sum = np.add.outer(np.arange(300), np.arange(300)).ravel()
         expected = np.bincount(
-            index_sum, (np.abs(jsa.amplitude) ** 2).ravel(), 300 + 280 - 1
-        ) * grid.cell / grid.d_omega_s
+            index_sum, (np.abs(jsa.amplitude) ** 2).ravel(), 300 + 300 - 1
+        ) * grid.cell / grid.d_omega
         assert np.allclose(density, expected, rtol=1e-13, atol=0)
 
 
 class TestApplyBandpass:
     def test_matches_outer_mask_on_rectangular_grid(self):
-        """The block copy equals masking with the outer product of the two
-        axis windows, on a rectangular grid whose window edges fall between
-        grid points and cut both axes."""
-        axis = GRID.omega_s_axis
-        grid = FrequencyGrid(axis[:200], axis[30:250])
+        """The cropped output is the window block of masking with the outer
+        product of the axis window, on an off-centre grid whose window edges
+        fall between grid points and cut the axis at both ends."""
+        grid = FrequencyGrid(GRID.axis[30:230])
         rng = np.random.default_rng(9)
         jsa = JsaGrid.normalized(
-            grid, rng.normal(size=(200, 220)) + 1j * rng.normal(size=(200, 220))
+            grid, rng.normal(size=(200, 200)) + 1j * rng.normal(size=(200, 200))
         )
         center, width = 1536.1e-9, 21.7e-9
-        lam_s = omega_to_wavelength(grid.omega_s_axis)
-        lam_i = omega_to_wavelength(grid.omega_i_axis)
+        lam = omega_to_wavelength(grid.axis)
         lo, hi = center - width / 2, center + width / 2
-        mask_s = (lam_s >= lo) & (lam_s <= hi)
-        mask_i = (lam_i >= lo) & (lam_i <= hi)
-        for lam, mask in ((lam_s, mask_s), (lam_i, mask_i)):
-            assert not np.any((lam == lo) | (lam == hi))
-            assert 0 < mask.sum() < mask.size
-        keep = np.outer(mask_s, mask_i)
-        reference = np.where(keep, jsa.amplitude, 0.0)
+        mask = (lam >= lo) & (lam <= hi)
+        assert not np.any((lam == lo) | (lam == hi))
+        assert not mask[0] and not mask[-1] and mask.sum() > 2
+        reference = np.where(np.outer(mask, mask), jsa.amplitude, 0.0)
         kept = np.sum(np.abs(reference) ** 2) * grid.cell
         reference /= np.sqrt(kept)
 
         out = apply_bandpass(jsa, center, width)
-        assert np.array_equal(out.amplitude != 0, keep)
-        assert np.max(np.abs(out.amplitude - reference)) <= 1e-14 * np.max(
-            np.abs(reference)
-        )
+        assert np.array_equal(out.grid.axis, grid.axis[mask])
+        block = reference[np.ix_(mask, mask)]
+        assert np.max(np.abs(out.amplitude - block)) <= 1e-14 * np.max(np.abs(block))
         assert out.discarded_fraction == pytest.approx(1 - kept, abs=1e-14)
 
     def test_full_window_is_identity(self):
         jsa = build_jsa(MODEL, GRID)
         out = apply_bandpass(jsa, 1535.2e-9, 200e-9)
+        assert np.array_equal(out.grid.axis, GRID.axis)
         assert np.max(np.abs(out.amplitude - jsa.amplitude)) < 1e-12
         assert out.discarded_fraction < 1e-12
 
@@ -352,6 +340,14 @@ class TestApplyBandpass:
         jsa = build_jsa(MODEL, GRID)
         with pytest.raises(EmptySupportError):
             apply_bandpass(jsa, 800e-9, 10e-9)
+
+    def test_one_point_window_rejected(self):
+        """A window narrower than one grid step around a grid point keeps
+        a single point, on which no grid can be built."""
+        jsa = build_jsa(MODEL, GRID)
+        center = float(omega_to_wavelength(GRID.axis[100]))
+        with pytest.raises(EmptySupportError, match="fewer than 2"):
+            apply_bandpass(jsa, center, 1e-12)
 
     def test_default_window_discards_little(self):
         jsa = build_jsa(MODEL, GRID)
@@ -362,9 +358,9 @@ class TestApplyBandpass:
     def test_narrow_window_reports_out_of_band_norm(self):
         jsa = build_jsa(MODEL, GRID)
         out = apply_bandpass(jsa, 1535.2e-9, 10e-9)
-        kept = np.sum(
-            np.abs(np.where(out.amplitude != 0, jsa.amplitude, 0)) ** 2
-        ) * GRID.cell
+        inside = np.isin(GRID.axis, out.grid.axis)
+        assert 2 <= inside.sum() < GRID.n
+        kept = np.sum(np.abs(jsa.amplitude[np.ix_(inside, inside)]) ** 2) * GRID.cell
         assert out.discarded_fraction == pytest.approx(1 - kept, abs=1e-9)
 
     def test_rejects_nonpositive_width(self):
@@ -372,21 +368,67 @@ class TestApplyBandpass:
         with pytest.raises(DomainError):
             apply_bandpass(jsa, 1535.2e-9, 0.0)
 
+    def test_crop_allocates_only_the_output(self):
+        """At 1024 points and a 36 nm window the band-pass holds the
+        922 x 922 output block and nothing grid-sized besides."""
+        jsa = build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=1024))
+        tracemalloc.start()
+        try:
+            out = apply_bandpass(jsa, 1535.2e-9, 36e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.amplitude.shape == (922, 922)
+        assert peak <= out.amplitude.nbytes + 1e6
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crop_matches_zero_padding(self, seed):
+        """On model-calibrate's grid and window, the cropped JSA and the
+        same JSA zero-padded back onto the full grid give the same edge
+        split (to its root tolerance), alpha and coherence at 0 and
+        +/-25.9 fs.  The crop's step, the difference of its first two
+        points, equals the full grid's here; where it differs in the last
+        bits, D(tau) at tau != 0 moves by about tau * n * that difference."""
+        rng = np.random.default_rng(seed)
+        model = PdcModel(
+            pump_bandwidth_fwhm=rng.uniform(0.5e-9, 1.1e-9),
+            crystal_length=rng.uniform(1.5e-3, 2.3e-3),
+        )
+        template = SplitterResponse(step_width=rng.uniform(5e-9, 9e-9))
+        target = rng.uniform(0.45, 0.62)
+        grid = FrequencyGrid.centered(1535.2e-9, 40e-9, n=1024)
+        cropped = apply_bandpass(build_jsa(model, grid), 1535.2e-9, 36e-9)
+        assert cropped.grid.d_omega == grid.d_omega
+        start = int(np.searchsorted(grid.axis, cropped.grid.axis[0]))
+        pad = (start, grid.n - start - cropped.grid.n)
+        padded = JsaGrid(grid, np.pad(cropped.amplitude, (pad, pad)))
+        assert np.array_equal(grid.axis[start : start + cropped.grid.n],
+                              cropped.grid.axis)
+
+        fits = [fit_edge_split(jsa, template, target) for jsa in (cropped, padded)]
+        for edge in ("edge_wavelength_h", "edge_wavelength_v"):
+            assert abs(getattr(fits[0], edge) - getattr(fits[1], edge)) <= 1e-13
+        amps = [jointstate.post_select(jsa, fits[0]) for jsa in (cropped, padded)]
+        assert amps[0].alpha == pytest.approx(amps[1].alpha, abs=1e-14)
+        for tau in (-25.9e-15, 0.0, 25.9e-15):
+            d = [jointstate.d_parameter(a, tau) for a in amps]
+            assert abs(d[0] - d[1]) <= 1e-14
+
 
 class TestJsaGridInvariant:
     def test_unnormalized_rejected(self):
-        amp = np.ones((GRID.n_s, GRID.n_i), dtype=complex)
+        amp = np.ones((GRID.n, GRID.n), dtype=complex)
         with pytest.raises(DomainError):
             JsaGrid(GRID, amp)
 
     def test_normalized_factory(self):
-        amp = np.random.default_rng(0).normal(size=(GRID.n_s, GRID.n_i))
+        amp = np.random.default_rng(0).normal(size=(GRID.n, GRID.n))
         jsa = JsaGrid.normalized(GRID, amp)
         assert jsa.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_amplitude_rejected(self):
         with pytest.raises(EmptySupportError):
-            JsaGrid.normalized(GRID, np.zeros((GRID.n_s, GRID.n_i)))
+            JsaGrid.normalized(GRID, np.zeros((GRID.n, GRID.n)))
 
 
 class TestJsaFile:
@@ -396,9 +438,7 @@ class TestJsaFile:
         write_jsa(path, jsa)
         back = read_jsa(path)
         assert np.array_equal(back.amplitude, jsa.amplitude)
-        assert np.allclose(
-            back.grid.omega_s_axis, jsa.grid.omega_s_axis, rtol=1e-15
-        )
+        assert np.allclose(back.grid.axis, jsa.grid.axis, rtol=1e-15)
 
     @pytest.mark.parametrize("block_values", [1, 28, 1 << 16])
     def test_writer_matches_per_element_reference(
@@ -407,7 +447,7 @@ class TestJsaFile:
         """Block formatting writes the bytes of one write per value, for
         blocks of one row, of two rows with a short last block, and of the
         whole grid; -0.0 and subnormals keep their exact text."""
-        grid = FrequencyGrid(GRID.omega_s_axis[:7], GRID.omega_i_axis[:7])
+        grid = FrequencyGrid(GRID.axis[:7])
         rng = np.random.default_rng(3)
         amp = 1e-20 * (rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
         amp[0, 0] = 1.0 / np.sqrt(grid.cell)
@@ -421,8 +461,7 @@ class TestJsaFile:
         with open(ref, "w", encoding="utf-8") as fh:
             fh.write(
                 "# %d %d %.17g %.17g %.17g %.17g\n"
-                % (7, 7, grid.omega_s_axis[0], grid.d_omega_s,
-                   grid.omega_i_axis[0], grid.d_omega_i)
+                % (7, 7, grid.axis[0], grid.d_omega, grid.axis[0], grid.d_omega)
             )
             for row in jsa.amplitude:
                 for val in row:
@@ -465,7 +504,7 @@ class TestJsaFile:
 
     def test_chunk_boundaries_inside_lines(self, tmp_path, monkeypatch):
         """Chunks of 64 bytes end inside lines; the rows read are the same."""
-        jsa = build_jsa(MODEL, FrequencyGrid(GRID.omega_s_axis[:40], GRID.omega_i_axis[:40]))
+        jsa = build_jsa(MODEL, FrequencyGrid(GRID.axis[:40]))
         path = tmp_path / "jsa.txt"
         write_jsa(path, jsa)
         monkeypatch.setattr(spectral, "_TABLE_CHUNK", 64)
@@ -491,26 +530,31 @@ class TestJsaFile:
             read_jsa(path)
 
     @pytest.mark.parametrize(
-        "idler_axis",
+        "field, value",
         [
-            GRID.omega_s_axis[:-1],  # fewer points
-            GRID.omega_s_axis + GRID.d_omega_s,  # shifted start
-            GRID.omega_s_axis[0] + 0.5 * GRID.d_omega_s * np.arange(GRID.n_s),
+            (1, "%d" % (GRID.n - 1)),  # fewer idler points
+            (4, "%.17g" % (GRID.axis[0] + GRID.d_omega)),  # shifted idler start
+            (5, "%.17g" % (0.5 * GRID.d_omega)),  # halved idler step
         ],
         ids=["count", "start", "step"],
     )
-    def test_unequal_axes_rejected(self, tmp_path, idler_axis):
-        grid = FrequencyGrid(GRID.omega_s_axis, idler_axis)
-        amp = np.random.default_rng(1).normal(size=(grid.n_s, grid.n_i))
+    def test_unequal_axes_rejected(self, tmp_path, field, value):
+        """A header whose idler axis differs from the signal axis, written
+        by hand over a valid table."""
+        amp = np.random.default_rng(1).normal(size=(GRID.n, GRID.n))
         path = tmp_path / "jsa.txt"
-        write_jsa(path, JsaGrid.normalized(grid, amp))
-        with pytest.raises(FormatError):
+        write_jsa(path, JsaGrid.normalized(GRID, amp))
+        header, table = path.read_text().split("\n", 1)
+        fields = header.split()[1:]
+        fields[field] = value
+        path.write_text("# " + " ".join(fields) + "\n" + table)
+        with pytest.raises(FormatError, match="axes must be identical"):
             read_jsa(path)
 
     @pytest.mark.parametrize(
         "header, message",
-        [("2 2 1 0 1 0", "JSA header: omega_s_axis: axis must be strictly increasing"),
-         ("2 2 1 -1 1 -1", "JSA header: omega_s_axis: axis must be strictly increasing"),
+        [("2 2 1 0 1 0", "JSA header: axis: must be strictly increasing"),
+         ("2 2 1 -1 1 -1", "JSA header: axis: must be strictly increasing"),
          ("2 2 nan 1 nan 1", "JSA header: signal start must be finite"),
          ("2 2 1 inf 1 inf", "JSA header: signal step must be finite"),
          ("2 2 1e308 1e308 1e308 1e308", "JSA header: last axis point .* is not finite")],
