@@ -9,7 +9,9 @@ the Riemann sum of |f|^2 equals one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,22 +44,15 @@ def omega_to_wavelength(omega):
     return 2.0 * np.pi * C / np.asarray(omega, dtype=float)
 
 
-def _check_uniform_axis(axis):
-    axis = np.asarray(axis, dtype=float)
-    if axis.ndim != 1 or axis.size < 2:
-        raise DomainError("axis: need at least 2 points")
-    if not np.all(np.isfinite(axis)):
-        raise DomainError("axis: values must be finite")
-    steps = np.diff(axis)
-    if np.any(steps <= 0):
-        raise DomainError("axis: must be strictly increasing")
-    step = steps[0]
-    # allow a few ulps of the axis magnitude: differences of large values
-    # are exact only up to rounding of the values themselves
-    tol = 1e-12 * abs(step) + 4.0 * np.spacing(np.abs(axis).max())
-    if np.max(np.abs(steps - step)) > tol:
-        raise DomainError("axis: must be uniformly spaced")
-    return axis
+def _point_count(n) -> int:
+    """n as a Python int of at least 2."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"grid point count must be an integer, got {n!r}") from None
+    if n < 2:
+        raise DomainError(f"grid needs at least 2 points, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -66,13 +61,40 @@ class FrequencyGrid:
 
     The coherence D(tau) pairs g(omega_s, omega_i) with h(omega_i,
     omega_s), so it exists only where both photons are sampled on the same
-    axis; the grid is ``axis`` x ``axis``.
+    axis; the grid is ``axis`` x ``axis``.  It holds the first point, the
+    exact step and the point count, and derives ``axis`` from them.
     """
 
-    axis: np.ndarray
+    start: float
+    d_omega: float
+    n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", _check_uniform_axis(self.axis))
+        n = _point_count(self.n)
+        start, step = float(self.start), float(self.d_omega)
+        if not (math.isfinite(start) and math.isfinite(step)):
+            raise DomainError(f"grid start and step must be finite, got {start}, {step}")
+        if step <= 0:
+            raise DomainError(f"grid step must be positive, got {step}")
+        # start + k * step is monotone in k: a finite last point bounds them all
+        try:
+            last = start + (n - 1) * step
+        except OverflowError:  # n - 1 beyond the float range
+            last = math.inf
+        if not math.isfinite(last):
+            raise DomainError(
+                f"grid's last point {start} + {n - 1} * {step} is not finite"
+            )
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "d_omega", step)
+        object.__setattr__(self, "n", n)
+
+    @cached_property
+    def axis(self) -> np.ndarray:
+        """The n points start + k * d_omega (read-only)."""
+        axis = self.start + np.arange(self.n) * self.d_omega
+        axis.flags.writeable = False
+        return axis
 
     @property
     def omega_s_axis(self) -> np.ndarray:
@@ -85,21 +107,13 @@ class FrequencyGrid:
         return self.axis
 
     @property
-    def n(self) -> int:
-        return self.axis.size
-
-    @property
-    def d_omega(self) -> float:
-        return float(self.axis[1] - self.axis[0])
-
-    @property
     def cell(self) -> float:
         """Area element d_omega^2."""
         return self.d_omega * self.d_omega
 
     @classmethod
-    def centered(cls, center_wavelength, width_wavelength, n=512):
-        """Cell-centered grid spanning a wavelength window.
+    def centered(cls, center_wavelength, width_wavelength, n):
+        """Cell-centered grid of n points spanning a wavelength window.
 
         Cell-centered sampling makes the plain Riemann sums used throughout
         converge at second order, which the grid-refinement checks rely on.
@@ -110,10 +124,11 @@ class FrequencyGrid:
         lam_hi = center_wavelength + width_wavelength / 2.0
         if lam_lo <= 0:
             raise DomainError("window extends to non-positive wavelengths")
-        w_lo = wavelength_to_omega(lam_hi)
-        w_hi = wavelength_to_omega(lam_lo)
+        n = _point_count(n)
+        w_lo = float(wavelength_to_omega(lam_hi))
+        w_hi = float(wavelength_to_omega(lam_lo))
         step = (w_hi - w_lo) / n
-        return cls(w_lo + (np.arange(n) + 0.5) * step)
+        return cls(w_lo + 0.5 * step, step, n)
 
 
 def _default_group_indices(crystal_length, intrinsic_delay_comp):
@@ -338,9 +353,9 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
             "grid too coarse across the pump bandwidth "
             f"({points:.1f} points, need >= 8)"
         )
-    axis = grid.axis
-    if np.any(axis <= 0):
+    if grid.start <= 0:
         raise DomainError("frequencies must be positive")
+    axis = grid.axis
     signal, idler, constant = _mismatch_terms(model, axis, axis)
     half_length = model.crystal_length / (2.0 * C)
     x_s = (signal + constant) * half_length
@@ -412,7 +427,9 @@ def apply_bandpass(jsa: JsaGrid, center_wavelength, width) -> JsaGrid:
         raise EmptySupportError("band-pass window has no amplitude support")
     discarded = float(1.0 - norm_in / jsa.norm())
     block *= 1.0 / np.sqrt(norm_in)
-    return JsaGrid(FrequencyGrid(grid.axis[w]), block, discarded_fraction=discarded)
+    # the crop keeps its parent's step: only the first point is new
+    cropped = FrequencyGrid(grid.axis[w.start], grid.d_omega, w.stop - w.start)
+    return JsaGrid(cropped, block, discarded_fraction=discarded)
 
 
 def antidiagonal_marginal(jsa: JsaGrid):
@@ -430,8 +447,7 @@ def antidiagonal_marginal(jsa: JsaGrid):
         band += np.square(f[rows].imag)
 
     density = _antidiagonal_sums(grid.n, grid.n, fill)
-    offsets = np.arange(1 - grid.n, grid.n)
-    sums = grid.axis[0] + grid.axis[-1] + offsets * grid.d_omega
+    sums = 2.0 * grid.start + np.arange(2 * grid.n - 1) * grid.d_omega
     return sums, density * grid.d_omega
 
 
@@ -466,8 +482,7 @@ def write_jsa(path, jsa: JsaGrid) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             "# %d %d %.17g %.17g %.17g %.17g\n"
-            % (grid.n, grid.n, grid.axis[0], grid.d_omega, grid.axis[0],
-               grid.d_omega)
+            % (grid.n, grid.n, grid.start, grid.d_omega, grid.start, grid.d_omega)
         )
         # one format call per block of rows keeps the string a few MB
         values = np.ascontiguousarray(jsa.amplitude).view(float)
@@ -493,17 +508,12 @@ def read_jsa(path) -> JsaGrid:
         try:
             n_s, n_i = int(parts[0]), int(parts[1])
             s_min, s_step, i_min, i_step = map(float, parts[2:])
-        except ValueError as exc:
+            # the axis is derived lazily: a huge n allocates nothing here
+            grid = FrequencyGrid(s_min, s_step, n_s)
+        except (ValueError, DomainError) as exc:
             raise FormatError(f"JSA header: {exc}") from exc
-        fields = zip(("signal start", "signal step", "idler start", "idler step"),
-                     (s_min, s_step, i_min, i_step))
-        for name, value in fields:
-            if not np.isfinite(value):
-                raise FormatError(f"JSA header: {name} must be finite, got {value}")
-        if (n_s, s_min, s_step) != (n_i, i_min, i_step):
+        if (n_i, i_min, i_step) != (n_s, s_min, s_step):
             raise FormatError("JSA signal and idler axes must be identical")
-        if n_s < 1:
-            raise FormatError("JSA point count must be positive")
         values = _read_pairs(path, header)
         if values is None:
             try:
@@ -514,20 +524,9 @@ def read_jsa(path) -> JsaGrid:
         raise FormatError(
             f"expected {n_s * n_s} complex rows, found {values.shape[0]}"
         )
-    # n_s is now bounded by the row count, and an axis whose last point is
-    # finite has every point finite: start + k * step is monotone in k
-    if not math.isfinite(s_min + (n_s - 1) * s_step):
-        raise FormatError(
-            f"JSA header: last axis point {s_min} + {n_s - 1} * {s_step} "
-            "is not finite"
-        )
     if not np.all(np.isfinite(values)):
         raise FormatError("JSA table values must be finite")
     amp = (values[:, 0] + 1j * values[:, 1]).reshape(n_s, n_s)
-    try:
-        grid = FrequencyGrid(s_min + np.arange(n_s) * s_step)
-    except DomainError as exc:
-        raise FormatError(f"JSA header: {exc}") from exc
     try:
         return JsaGrid(grid, amp)
     except DomainError as exc:

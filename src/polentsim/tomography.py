@@ -50,6 +50,10 @@ _PARTNER = {"H": "V", "V": "H", "Dp": "Dm", "Dm": "Dp", "R": "L", "L": "R"}
 
 _FAMILIES = {"HV": ("H", "V"), "DD": ("Dp", "Dm"), "RL": ("R", "L")}
 
+#: Step cap and relative likelihood-gain stop of :func:`mle_reconstruct`.
+_MLE_MAX_ITER = 10_000
+_MLE_TOL = 1e-10
+
 
 def canonical_label(label: str) -> str:
     label = _LABEL_ALIASES.get(label, label)
@@ -280,11 +284,7 @@ def _physical_projection(rho: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def mle_reconstruct(
-    corrected,
-    max_iter: int = 10_000,
-    tol: float = 1e-10,
-) -> PolarizationDensityMatrix:
+def mle_reconstruct(corrected) -> PolarizationDensityMatrix:
     """Maximum-likelihood density matrix from corrected projection counts.
 
     Values are clamped at 0; f_k = n_k / sum(n) over the settings with
@@ -292,8 +292,8 @@ def mle_reconstruct(
     step sets rho <- R rho R / Tr(R rho R) with R = sum_k f_k P_k / Tr(P_k rho)
     and symmetrizes.  Because the projectors sum to 9 I, the fixed point
     R rho = rho maximizes the Poisson log-likelihood sum_k f_k log Tr(P_k rho).
-    The iteration stops once a step gains less than ``tol`` times the
-    log-likelihood's magnitude; after ``max_iter`` steps without that it
+    The iteration stops once a step gains less than ``_MLE_TOL`` times the
+    log-likelihood's magnitude; after ``_MLE_MAX_ITER`` steps without that it
     raises :class:`ConvergenceError` carrying the last iterate as ``best``.
     """
     values = np.maximum(0.0, np.asarray(corrected, dtype=float))
@@ -309,17 +309,17 @@ def mle_reconstruct(
     rho = _physical_projection(linear_inversion(values))
     probs = np.real(flat @ rho.T.ravel())
     log_l = freqs @ np.log(probs)
-    for _ in range(max_iter):
+    for _ in range(_MLE_MAX_ITER):
         r = ((freqs / probs) @ flat).reshape(4, 4)
         rho = r @ rho @ r
         rho = (rho + rho.conj().T) / 2.0
         rho /= np.trace(rho).real
         probs = np.real(flat @ rho.T.ravel())
         previous, log_l = log_l, freqs @ np.log(probs)
-        if log_l - previous <= tol * abs(log_l):
+        if log_l - previous <= _MLE_TOL * abs(log_l):
             return PolarizationDensityMatrix(rho)
     raise ConvergenceError(
-        f"likelihood fit did not converge in {max_iter} iterations",
+        f"likelihood fit did not converge in {_MLE_MAX_ITER} iterations",
         best=PolarizationDensityMatrix(rho),
     )
 

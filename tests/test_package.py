@@ -1,16 +1,17 @@
 """Package metadata and source hygiene."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import polentsim
-
-tomllib = pytest.importorskip("tomllib")
+from polentsim.spectral import FrequencyGrid
 
 
 def _project():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         return tomllib.load(fh)["project"]
@@ -46,3 +47,47 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert unused == []
+
+
+def test_benchmark_names_exist():
+    """Every package name the benchmark reaches exists: attributes of the
+    polentsim modules that perfbench imports, names it imports from them,
+    and the calls its tracer wraps.  A rename would otherwise show only as
+    a failed benchmark run."""
+    layers = {"spectral", "jointstate", "calibrate", "tomography", "metrics", "cli"}
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    wanted = set()
+    for path in sorted(bench.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> polentsim module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "polentsim":
+                for alias in node.names:
+                    modules[alias.asname or alias.name] = alias.name
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "polentsim."
+            ):
+                module = node.module.split(".", 1)[1]
+                wanted |= {(path.name, module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED_CALLS" for t in node.targets
+            ):
+                for module, names in ast.literal_eval(node.value).items():
+                    wanted |= {(path.name, module, name) for name in names}
+        wanted |= {
+            (path.name, modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        }
+    assert {module for _, module, _ in wanted} >= layers
+    missing = sorted(
+        f"{where}: {module}.{name}"
+        for where, module, name in wanted
+        if not hasattr(importlib.import_module(f"polentsim.{module}"), name)
+    )
+    assert missing == []
+    grid = FrequencyGrid.centered(1535.2e-9, 40e-9, 64)
+    assert grid.omega_s_axis is grid.axis and grid.omega_i_axis is grid.axis
+    assert grid.cell == grid.d_omega**2

@@ -53,16 +53,53 @@ def test_wavelength_omega_round_trip(lam):
 
 class TestFrequencyGrid:
     def test_rejects_short_axis(self):
-        with pytest.raises(DomainError):
-            FrequencyGrid(np.array([1.0e15]))
+        with pytest.raises(DomainError, match="^grid needs at least 2 points, got 1$"):
+            FrequencyGrid(1.0e15, 1.0e12, 1)
 
-    def test_rejects_nonuniform_axis(self):
-        with pytest.raises(DomainError):
-            FrequencyGrid(np.array([1.0e15, 1.1e15, 1.25e15]))
+    @pytest.mark.parametrize("n", [2.0, "2", None])
+    def test_rejects_non_integer_count(self, n):
+        with pytest.raises(DomainError, match="^grid point count must be an integer"):
+            FrequencyGrid(1.0e15, 1.0e12, n)
+
+    @pytest.mark.parametrize(
+        "start, step", [(np.nan, 1.0e12), (np.inf, 1.0e12), (1.0e15, np.inf),
+                        (1.0e15, np.nan)]
+    )
+    def test_rejects_non_finite_start_or_step(self, start, step):
+        with pytest.raises(
+            DomainError, match=f"^grid start and step must be finite, got {start}, {step}$"
+        ):
+            FrequencyGrid(start, step, 3)
 
     def test_rejects_decreasing_axis(self):
-        with pytest.raises(DomainError):
-            FrequencyGrid(np.array([1.2e15, 1.1e15, 1.0e15]))
+        with pytest.raises(DomainError, match="^grid step must be positive, got -1.0$"):
+            FrequencyGrid(1.2e15, -1.0, 3)
+
+    def test_rejects_zero_step(self):
+        with pytest.raises(DomainError, match="^grid step must be positive, got 0.0$"):
+            FrequencyGrid(1.2e15, 0.0, 3)
+
+    @pytest.mark.parametrize("n", [3, 10**400], ids=["last-point", "count"])
+    def test_rejects_overflowing_last_point(self, n):
+        """Also for a count beyond the float range, where n - 1 itself
+        cannot be converted."""
+        with pytest.raises(DomainError, match=r"^grid's last point 1e\+308 \+ \d+ "
+                           r"\* 1e\+308 is not finite$"):
+            FrequencyGrid(1e308, 1e308, n)
+
+    def test_fields_are_normalized(self):
+        grid = FrequencyGrid(np.float64(1.0e15), np.float64(1.0e12), np.int64(4))
+        assert [type(v) for v in (grid.start, grid.d_omega, grid.n)] == [float, float, int]
+        assert grid == FrequencyGrid(1.0e15, 1.0e12, 4)
+        assert np.array_equal(grid.axis, 1.0e15 + np.arange(4) * 1.0e12)
+        assert grid.cell == 1.0e24
+        assert not grid.axis.flags.writeable
+
+    def test_centered_needs_a_point_count(self):
+        with pytest.raises(TypeError):
+            FrequencyGrid.centered(1535.2e-9, 40e-9)
+        with pytest.raises(DomainError, match="^grid needs at least 2 points, got 0$"):
+            FrequencyGrid.centered(1535.2e-9, 40e-9, 0)
 
     def test_centered_is_cell_centered(self):
         grid = FrequencyGrid.centered(1535.2e-9, 40e-9, n=64)
@@ -72,6 +109,8 @@ class TestFrequencyGrid:
         assert grid.axis[0] == pytest.approx(w_lo + step / 2, rel=1e-12)
         assert grid.axis[-1] == pytest.approx(w_hi - step / 2, rel=1e-12)
         assert grid.omega_s_axis is grid.axis and grid.omega_i_axis is grid.axis
+        # the step is the window's width over n, not a difference of points
+        assert grid.d_omega == step and grid.start == w_lo + 0.5 * step
 
 
 class TestPumpEnvelope:
@@ -163,7 +202,7 @@ class TestBuildJsa:
             (MODEL, GRID),
             (
                 PdcModel(pump_bandwidth_fwhm=1.1e-9, crystal_length=2.3e-3),
-                FrequencyGrid(GRID.axis[40:]),  # off-centre
+                FrequencyGrid(GRID.axis[40], GRID.d_omega, GRID.n - 40),  # off-centre
             ),
             # 512 rows: four bands of rows
             (SHORT_RIDGE, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)),
@@ -268,7 +307,7 @@ class TestBuildJsa:
 class TestAntidiagonalMarginal:
     def test_matches_double_loop_on_rectangular_grid(self):
         axis = GRID.axis
-        grid = FrequencyGrid(axis[20:32])  # 12 x 12, off-centre
+        grid = FrequencyGrid(axis[20], GRID.d_omega, 12)  # 12 x 12, off-centre
         rng = np.random.default_rng(3)
         amp = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         jsa = JsaGrid.normalized(grid, amp)
@@ -287,8 +326,8 @@ class TestAntidiagonalMarginal:
     def test_matches_bincount_over_several_bands(self):
         """300 x 300 cells: the band sum runs over two bands of rows, the
         second one shorter, and agrees with an index-array bincount."""
-        axis = FrequencyGrid.centered(1535.2e-9, 40e-9, n=600).axis
-        grid = FrequencyGrid(axis[:300])  # off-centre
+        full = FrequencyGrid.centered(1535.2e-9, 40e-9, n=600)
+        grid = FrequencyGrid(full.start, full.d_omega, 300)  # off-centre
         rows = spectral._BAND_VALUES // grid.n
         assert rows < grid.n < 2 * rows
         rng = np.random.default_rng(8)
@@ -308,7 +347,7 @@ class TestApplyBandpass:
         """The cropped output is the window block of masking with the outer
         product of the axis window, on an off-centre grid whose window edges
         fall between grid points and cut the axis at both ends."""
-        grid = FrequencyGrid(GRID.axis[30:230])
+        grid = FrequencyGrid(GRID.axis[30], GRID.d_omega, 200)
         rng = np.random.default_rng(9)
         jsa = JsaGrid.normalized(
             grid, rng.normal(size=(200, 200)) + 1j * rng.normal(size=(200, 200))
@@ -324,7 +363,8 @@ class TestApplyBandpass:
         reference /= np.sqrt(kept)
 
         out = apply_bandpass(jsa, center, width)
-        assert np.array_equal(out.grid.axis, grid.axis[mask])
+        first = np.flatnonzero(mask)[0]
+        assert out.grid == FrequencyGrid(grid.axis[first], grid.d_omega, mask.sum())
         block = reference[np.ix_(mask, mask)]
         assert np.max(np.abs(out.amplitude - block)) <= 1e-14 * np.max(np.abs(block))
         assert out.discarded_fraction == pytest.approx(1 - kept, abs=1e-14)
@@ -332,6 +372,7 @@ class TestApplyBandpass:
     def test_full_window_is_identity(self):
         jsa = build_jsa(MODEL, GRID)
         out = apply_bandpass(jsa, 1535.2e-9, 200e-9)
+        assert out.grid == GRID
         assert np.array_equal(out.grid.axis, GRID.axis)
         assert np.max(np.abs(out.amplitude - jsa.amplitude)) < 1e-12
         assert out.discarded_fraction < 1e-12
@@ -358,9 +399,10 @@ class TestApplyBandpass:
     def test_narrow_window_reports_out_of_band_norm(self):
         jsa = build_jsa(MODEL, GRID)
         out = apply_bandpass(jsa, 1535.2e-9, 10e-9)
-        inside = np.isin(GRID.axis, out.grid.axis)
-        assert 2 <= inside.sum() < GRID.n
-        kept = np.sum(np.abs(jsa.amplitude[np.ix_(inside, inside)]) ** 2) * GRID.cell
+        w = spectral._window(GRID.axis, 1535.2e-9 - 5e-9, 1535.2e-9 + 5e-9)
+        assert 2 <= w.stop - w.start < GRID.n
+        assert out.grid == FrequencyGrid(GRID.axis[w.start], GRID.d_omega, w.stop - w.start)
+        kept = np.sum(np.abs(jsa.amplitude[w, w]) ** 2) * GRID.cell
         assert out.discarded_fraction == pytest.approx(1 - kept, abs=1e-9)
 
     def test_rejects_nonpositive_width(self):
@@ -381,14 +423,18 @@ class TestApplyBandpass:
         assert out.amplitude.shape == (922, 922)
         assert peak <= out.amplitude.nbytes + 1e6
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_crop_matches_zero_padding(self, seed):
-        """On model-calibrate's grid and window, the cropped JSA and the
-        same JSA zero-padded back onto the full grid give the same edge
-        split (to its root tolerance), alpha and coherence at 0 and
-        +/-25.9 fs.  The crop's step, the difference of its first two
-        points, equals the full grid's here; where it differs in the last
-        bits, D(tau) at tau != 0 moves by about tau * n * that difference."""
+    @pytest.mark.parametrize(
+        "n, window, seed",
+        # model-calibrate's grid and window keep their seed-only ids
+        [pytest.param(1024, 36e-9, seed, id=str(seed)) for seed in range(3)]
+        + [pytest.param(n, window, seed, id=f"{n}pts-{window * 1e9:.0f}nm-{seed}")
+           for n, window in [(512, 36e-9), (1024, 20e-9)] for seed in range(3)],
+    )
+    def test_crop_matches_zero_padding(self, n, window, seed):
+        """The cropped JSA and the same JSA zero-padded back onto the full
+        grid give the same edge split (to its root tolerance), alpha and
+        coherence at 0 and +/-25.9 fs.  The crop keeps its parent's step bit
+        for bit, so D(tau) at tau != 0 does not pick up a step error."""
         rng = np.random.default_rng(seed)
         model = PdcModel(
             pump_bandwidth_fwhm=rng.uniform(0.5e-9, 1.1e-9),
@@ -396,14 +442,13 @@ class TestApplyBandpass:
         )
         template = SplitterResponse(step_width=rng.uniform(5e-9, 9e-9))
         target = rng.uniform(0.45, 0.62)
-        grid = FrequencyGrid.centered(1535.2e-9, 40e-9, n=1024)
-        cropped = apply_bandpass(build_jsa(model, grid), 1535.2e-9, 36e-9)
-        assert cropped.grid.d_omega == grid.d_omega
-        start = int(np.searchsorted(grid.axis, cropped.grid.axis[0]))
-        pad = (start, grid.n - start - cropped.grid.n)
+        grid = FrequencyGrid.centered(1535.2e-9, 40e-9, n=n)
+        cropped = apply_bandpass(build_jsa(model, grid), 1535.2e-9, window)
+        w = spectral._window(grid.axis, 1535.2e-9 - window / 2, 1535.2e-9 + window / 2)
+        m = w.stop - w.start
+        assert cropped.grid == FrequencyGrid(grid.axis[w.start], grid.d_omega, m)
+        pad = (w.start, grid.n - w.stop)
         padded = JsaGrid(grid, np.pad(cropped.amplitude, (pad, pad)))
-        assert np.array_equal(grid.axis[start : start + cropped.grid.n],
-                              cropped.grid.axis)
 
         fits = [fit_edge_split(jsa, template, target) for jsa in (cropped, padded)]
         for edge in ("edge_wavelength_h", "edge_wavelength_v"):
@@ -438,7 +483,21 @@ class TestJsaFile:
         write_jsa(path, jsa)
         back = read_jsa(path)
         assert np.array_equal(back.amplitude, jsa.amplitude)
-        assert np.allclose(back.grid.axis, jsa.grid.axis, rtol=1e-15)
+        assert back.grid == jsa.grid
+
+    @pytest.mark.parametrize("crop", [False, True], ids=["centered", "cropped"])
+    def test_round_trip_keeps_the_grid(self, tmp_path, crop):
+        """The header holds start and step exactly, so a read-back grid is
+        the written one, and writing it again gives the same bytes."""
+        jsa = build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512))
+        if crop:
+            jsa = apply_bandpass(jsa, 1535.2e-9, 36e-9)
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        write_jsa(first, jsa)
+        back = read_jsa(first)
+        assert back.grid == jsa.grid
+        write_jsa(second, back)
+        assert second.read_bytes() == first.read_bytes()
 
     @pytest.mark.parametrize("block_values", [1, 28, 1 << 16])
     def test_writer_matches_per_element_reference(
@@ -447,7 +506,7 @@ class TestJsaFile:
         """Block formatting writes the bytes of one write per value, for
         blocks of one row, of two rows with a short last block, and of the
         whole grid; -0.0 and subnormals keep their exact text."""
-        grid = FrequencyGrid(GRID.axis[:7])
+        grid = FrequencyGrid(GRID.start, GRID.d_omega, 7)
         rng = np.random.default_rng(3)
         amp = 1e-20 * (rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
         amp[0, 0] = 1.0 / np.sqrt(grid.cell)
@@ -504,7 +563,7 @@ class TestJsaFile:
 
     def test_chunk_boundaries_inside_lines(self, tmp_path, monkeypatch):
         """Chunks of 64 bytes end inside lines; the rows read are the same."""
-        jsa = build_jsa(MODEL, FrequencyGrid(GRID.axis[:40]))
+        jsa = build_jsa(MODEL, FrequencyGrid(GRID.start, GRID.d_omega, 40))
         path = tmp_path / "jsa.txt"
         write_jsa(path, jsa)
         monkeypatch.setattr(spectral, "_TABLE_CHUNK", 64)
@@ -553,17 +612,30 @@ class TestJsaFile:
 
     @pytest.mark.parametrize(
         "header, message",
-        [("2 2 1 0 1 0", "JSA header: axis: must be strictly increasing"),
-         ("2 2 1 -1 1 -1", "JSA header: axis: must be strictly increasing"),
-         ("2 2 nan 1 nan 1", "JSA header: signal start must be finite"),
-         ("2 2 1 inf 1 inf", "JSA header: signal step must be finite"),
-         ("2 2 1e308 1e308 1e308 1e308", "JSA header: last axis point .* is not finite")],
-        ids=["zero-step", "negative-step", "nan-start", "inf-step", "huge-axis"],
+        [("2 2 1 0 1 0", "JSA header: grid step must be positive, got 0.0"),
+         ("2 2 1 -1 1 -1", "JSA header: grid step must be positive, got -1.0"),
+         ("2 2 nan 1 nan 1", "JSA header: grid start and step must be finite, got nan, 1.0"),
+         ("2 2 1 inf 1 inf", "JSA header: grid start and step must be finite, got 1.0, inf"),
+         ("2 2 1e308 1e308 1e308 1e308",
+          "JSA header: grid's last point 1e+308 + 1 * 1e+308 is not finite"),
+         ("1 1 1 1 1 1", "JSA header: grid needs at least 2 points, got 1"),
+         ("-2 -2 1 1 1 1", "JSA header: grid needs at least 2 points, got -2")],
+        ids=["zero-step", "negative-step", "nan-start", "inf-step", "huge-axis",
+             "one-point", "negative-count"],
     )
     def test_bad_header_axis_rejected(self, tmp_path, header, message):
         path = tmp_path / "bad.txt"
         path.write_text("# " + header + "\n" + "0.5 0\n" * 4)
-        with pytest.raises(FormatError, match=message):
+        with pytest.raises(FormatError) as info:
+            read_jsa(path)
+        assert str(info.value) == message
+
+    def test_huge_header_count_fails_on_the_row_count(self, tmp_path):
+        """The axis is derived lazily, so a header count of 10^12 points
+        allocates nothing before the table is found to be short."""
+        path = tmp_path / "bad.txt"
+        path.write_text("# 1000000000000 1000000000000 1 1 1 1\n" + "0.5 0\n" * 4)
+        with pytest.raises(FormatError, match="^expected 10{24} complex rows, found 4$"):
             read_jsa(path)
 
     def test_wrong_row_count_rejected(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polentsim import tomography
 from polentsim.errors import (
     ConvergenceError,
     DomainError,
@@ -235,9 +236,10 @@ class TestMle:
             gaps.append(stationarity_gap(corrected, est.elements))
         assert np.median(gaps) <= 1e-4
 
-    def test_iteration_cap_raises_with_best_state(self):
-        with pytest.raises(ConvergenceError) as info:
-            mle_reconstruct(c08_corrected(0), max_iter=1)
+    def test_iteration_cap_raises_with_best_state(self, monkeypatch):
+        monkeypatch.setattr(tomography, "_MLE_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="did not converge in 1 iterations") as info:
+            mle_reconstruct(c08_corrected(0))
         best = info.value.best
         assert isinstance(best, PolarizationDensityMatrix)
         assert np.linalg.eigvalsh(best.elements).min() >= -1e-10
