@@ -22,7 +22,7 @@ from .errors import (
     ResolutionError,
     decode_errors_as,
 )
-from .textfloat import parse_pairs
+from .textfloat import format_pairs, parse_pairs
 
 C = 299_792_458.0  # speed of light, m/s
 
@@ -238,19 +238,6 @@ class JsaGrid:
         return cls(grid, amplitude / np.sqrt(total), discarded_fraction)
 
 
-def pump_envelope(model: PdcModel, omega_sum):
-    """Gaussian pump amplitude at the given signal+idler frequency.
-
-    Peak value 1 at the pump center; the squared magnitude has the
-    configured intensity FWHM.
-    """
-    omega_sum = np.asarray(omega_sum, dtype=float)
-    if np.any(omega_sum <= 0):
-        raise DomainError("pump frequency must be positive")
-    delta = omega_sum - model.omega_pump_center
-    return _gaussian(delta / model.pump_bandwidth_omega).astype(complex)
-
-
 def _gaussian(u):
     """Pump amplitude at detuning u, in units of the intensity FWHM."""
     return np.exp(-2.0 * np.log(2.0) * (u * u))
@@ -271,26 +258,10 @@ def _mismatch_terms(model: PdcModel, omega_s, omega_i):
     )
 
 
-def phase_mismatch(model: PdcModel, omega_s, omega_i):
-    """First-order wave-vector mismatch (1/m) around degeneracy."""
-    omega_s = np.asarray(omega_s, dtype=float)
-    omega_i = np.asarray(omega_i, dtype=float)
-    if np.any(omega_s <= 0) or np.any(omega_i <= 0):
-        raise DomainError("frequencies must be positive")
-    signal, idler, constant = _mismatch_terms(model, omega_s, omega_i)
-    return (signal + idler + constant) / C
-
-
 def _sinc(x):
     """sin(x)/x with the limit 1 at x = 0."""
     x = np.asarray(x, dtype=float)
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-
-
-def phase_matching(model: PdcModel, omega_s, omega_i):
-    """sinc(dk L/2) * exp(i dk L/2) phase-matching amplitude."""
-    x = phase_mismatch(model, omega_s, omega_i) * model.crystal_length / 2.0
-    return _sinc(x) * np.exp(1j * x)
 
 
 #: Grid values per band of rows: the spectral kernels and the coherence
@@ -472,24 +443,26 @@ def marginal_fwhm(axis, density) -> float:
     return float(right - left)
 
 
-#: Real values formatted per call of :func:`write_jsa`.
-_WRITE_BLOCK_VALUES = 1 << 16
+#: Real values formatted per call of :func:`format_pairs`: one of its
+#: blocks, so the text of one block is held at a time.
+_WRITE_BLOCK_VALUES = 1 << 13
 
 
 def write_jsa(path, jsa: JsaGrid) -> None:
-    """Write the line-oriented JSA table (SI units, full precision)."""
+    """Write the line-oriented JSA table (SI units, full precision).
+
+    Each value is written as ``%.17g`` writes it, by :func:`format_pairs`.
+    """
     grid = jsa.grid
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.write(
-            "# %d %d %.17g %.17g %.17g %.17g\n"
+            b"# %d %d %.17g %.17g %.17g %.17g\n"
             % (grid.n, grid.n, grid.start, grid.d_omega, grid.start, grid.d_omega)
         )
-        # one format call per block of rows keeps the string a few MB
         values = np.ascontiguousarray(jsa.amplitude).view(float)
         rows = max(1, _WRITE_BLOCK_VALUES // values.shape[1])
         for start in range(0, values.shape[0], rows):
-            block = values[start : start + rows].ravel().tolist()
-            fh.write(("%.17g %.17g\n" * (len(block) // 2)) % tuple(block))
+            fh.write(format_pairs(values[start : start + rows]))
 
 
 #: Bytes of a JSA table read and parsed at a time.

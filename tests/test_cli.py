@@ -11,11 +11,10 @@ from polentsim.spectral import (
     C,
     FrequencyGrid,
     build_jsa,
-    phase_matching,
-    pump_envelope,
     read_jsa,
 )
 from polentsim.tomography import read_count_table
+from spectral_oracles import phase_matching, pump_envelope
 
 CONFIG_TEXT = (
     "edge_h_nm = 1533.55\n"

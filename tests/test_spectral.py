@@ -27,14 +27,12 @@ from polentsim.spectral import (
     build_jsa,
     marginal_fwhm,
     omega_to_wavelength,
-    phase_matching,
-    phase_mismatch,
-    pump_envelope,
     read_jsa,
     wavelength_to_omega,
     write_jsa,
 )
 from polentsim.textfloat import parse_pairs
+from spectral_oracles import phase_matching, phase_mismatch, pump_envelope
 
 MODEL = PdcModel()
 GRID = FrequencyGrid.centered(1535.2e-9, 40e-9, n=256)
@@ -581,6 +579,20 @@ class TestJsaFile:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * jsa.amplitude.nbytes
+
+    def test_write_holds_one_block_of_the_text(self, tmp_path):
+        """At 512 points (4 MB of values, 12 MB of text) a write holds one
+        block of text and its formatting arrays at a time, less than the
+        amplitude itself."""
+        jsa = build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512))
+        path = tmp_path / "jsa.txt"
+        tracemalloc.start()
+        try:
+            write_jsa(path, jsa)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= jsa.amplitude.nbytes
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

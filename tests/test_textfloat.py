@@ -1,16 +1,21 @@
-"""Tests of the vectorized JSA table parser against float and np.loadtxt."""
+"""Tests of the vectorized JSA table parser against float and np.loadtxt,
+and of the vectorized formatter against ``%`` formatting."""
 
+import math
 import random
 import struct
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polentsim import textfloat
 from polentsim.spectral import FrequencyGrid, PdcModel, build_jsa, write_jsa
-from polentsim.textfloat import parse_pairs
+from polentsim.textfloat import format_pairs, parse_pairs
 
 GRID = FrequencyGrid.centered(1535.2e-9, 40e-9, n=256)
 
@@ -193,3 +198,166 @@ class TestParsePairs:
         finally:
             tracemalloc.stop()
         assert peak <= len(body) + 2 * values.nbytes + 4e6
+
+
+def _percent_text(values):
+    """The reference: one ``%`` call on the values as Python floats."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    return (("%.17g %.17g\n" * (len(values) // 2)) % tuple(values)).encode()
+
+
+def _from_bits(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def _neighbours(x):
+    """x and the doubles on either side of it."""
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
+def _ties():
+    """Doubles exactly halfway between two 17-digit decimals: odd * 2**-(q + 1)
+    with odd * 5**q / 2 in [10**16, 10**17), for q of 21 to 24 (exponents
+    -5 to -8, the only exponential-notation exponents with ties)."""
+    ties = []
+    for q in range(21, 25):
+        low = -(-2 * 10**16 // 5**q) | 1
+        for odd in range(low, low + 40, 2):
+            x = odd * 2.0 ** -(q + 1)
+            assert (Fraction(x) * 10**q).denominator == 2
+            ties.append(x)
+    return ties
+
+
+def _carries():
+    """Doubles whose 17-digit rounding carries into the next power of ten:
+    the double nearest 10**j lies below it by less than half a unit of the
+    17th digit."""
+    carries = []
+    for j in range(-307, 309):
+        x = float(f"1e{j}")
+        if Fraction(x) < Fraction(10) ** j and ("%.17g" % x).startswith("1"):
+            carries.append(x)
+    return carries
+
+
+#: Values on either side of the cases the formatter tells apart: powers of
+#: ten, 17-digit ties and carries, the switches of %g to and from fixed
+#: notation at 1e-4 and 1e17, the largest and smallest normals, subnormals,
+#: the exponent of 1e-292 below which the formatter declines, and zeros.
+FORMAT_HARD = sorted(
+    {abs(v) for k in range(-307, 309) for v in _neighbours(float(f"1e{k}"))}
+    | set(_ties())
+    | set(_carries())
+    | {v for x in (1e-4, 9.9999999999999991e-05, 1e-5, 1e16, 1e17, 1e18, 1e-292, 1e-293)
+       for v in _neighbours(x)}
+    | {5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308,
+       2.2250738585072019e-308, 1.7976931348623157e308, 0.1, 0.5, 1.0, 2.0**63, 0.0}
+)
+
+
+class TestFormatPairs:
+    def test_matches_percent_on_hard_cases(self):
+        # the cases hold carries, and ties that round down and up
+        assert len(_carries()) >= 10
+        assert {("%.17g" % x).split("e")[0][-1] for x in _ties()} >= {"2", "8"}
+        values = np.array(FORMAT_HARD + [-x for x in FORMAT_HARD] + [-0.0, 0.0])
+        values = values[: values.size // 2 * 2]
+        for rotation in range(2):  # each case once in each column
+            values = np.roll(values, 1)
+            assert format_pairs(values) == _percent_text(values)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_percent_on_random_bits(self, seed):
+        """20 000 finite doubles of uniformly drawn bits, and their round
+        trip through parse_pairs bit for bit."""
+        bits = np.random.default_rng(seed).integers(0, 2**64, size=24_000, dtype=np.uint64)
+        values = _from_bits(bits)
+        values = values[np.isfinite(values)][:20_000]
+        text = format_pairs(values)
+        assert text == _percent_text(values)
+        assert np.array_equal(_bits(parse_pairs(text)), _bits(values))
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.integers(0, 1), st.integers(0, 0x7FE), st.integers(0, (1 << 52) - 1)
+                ).map(lambda f: (f[0] << 63) | (f[1] << 52) | f[2]),
+                st.floats(allow_nan=False, allow_infinity=False).map(
+                    lambda x: struct.unpack("<Q", struct.pack("<d", x))[0]
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_percent_on_drawn_bits(self, bits):
+        values = _from_bits(bits + bits[-1:] if len(bits) % 2 else bits)
+        text = format_pairs(values)
+        assert text == _percent_text(values)
+        assert np.array_equal(_bits(parse_pairs(text)), _bits(values))
+
+    @pytest.mark.parametrize("n, width", [(64, 10e-9), (512, 40e-9)])
+    def test_matches_percent_on_written_jsa(self, tmp_path, n, width):
+        """A written JSA file is the header and one ``%`` call per value."""
+        jsa = build_jsa(PdcModel(), FrequencyGrid.centered(1535.2e-9, width, n=n))
+        path = tmp_path / "jsa.txt"
+        write_jsa(path, jsa)
+        grid = jsa.grid
+        header = "# %d %d %.17g %.17g %.17g %.17g\n" % (
+            n, n, grid.start, grid.d_omega, grid.start, grid.d_omega
+        )
+        assert path.read_bytes() == header.encode() + _percent_text(jsa.amplitude.view(float))
+
+    def test_default_jsa_takes_the_vector_path(self, monkeypatch):
+        """No value of the default 512-point JSA is left to ``%``."""
+        jsa = build_jsa(PdcModel(), FrequencyGrid.centered(1535.2e-9, 40e-9, n=512))
+        declined = []
+        percent = textfloat._percent
+        monkeypatch.setattr(textfloat, "_percent", lambda x: declined.append(x) or percent(x))
+        text = format_pairs(jsa.amplitude.view(float))
+        assert declined == []
+        assert len(text) > 12_000_000
+
+    def test_declined_values_take_percent(self, monkeypatch):
+        """Subnormals, values below 1e-292 and fixed notation go to ``%``;
+        zeros and the rest do not."""
+        declined = []
+        percent = textfloat._percent
+        monkeypatch.setattr(textfloat, "_percent", lambda x: declined.append(x) or percent(x))
+        values = [5e-324, 1e-300, 1e-4, 1e16, -0.0, 0.0, 1e-5, 1e17]
+        assert format_pairs(values) == _percent_text(values)
+        assert declined == [5e-324, 1e-300, 1e-4, 1e16]
+
+    def test_shapes_and_odd_counts(self):
+        pairs = np.array([[1.5, -2.5], [2.0**-20, 4e20]])
+        assert format_pairs(pairs) == b"1.5 -2.5\n9.5367431640625e-07 4e+20\n"
+        assert format_pairs(pairs.T) == b"1.5 9.5367431640625e-07\n-2.5 4e+20\n"
+        assert format_pairs(np.empty(0)) == b""
+        with pytest.raises(ValueError, match="pairs"):
+            format_pairs([1.0, 2.0, 3.0])
+
+    def test_decimal_exponent_table(self):
+        """floor(log10 x) from the table, at both ends of every binade of
+        normals and on either side of every power of ten."""
+        firsts = [float(np.ldexp(1.0, b - 1023)) for b in range(1, 0x7FF)]
+        lasts = [float(np.nextafter(2 * x, 0)) for x in firsts]
+        powers = [v for j in range(-307, 309) for v in _neighbours(float(f"1e{j}"))]
+        base, threshold = textfloat._decimal_exponents()
+        for x in firsts + lasts + powers:
+            bits = int(_bits([x])[0])
+            b, m = bits >> 52, (bits & ((1 << 52) - 1)) | (1 << 52)
+            k = base[b] + (m >= int(threshold[b]))
+            assert k == _floor_log10(x), x
+
+
+def _floor_log10(x):
+    """floor(log10 x) of a positive double, exactly."""
+    k = math.floor(math.log10(x))
+    while Fraction(10) ** k > Fraction(x):
+        k -= 1
+    while Fraction(10) ** (k + 1) <= Fraction(x):
+        k += 1
+    return k
