@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -487,7 +488,7 @@ def read_jsa(path) -> JsaGrid:
             raise FormatError(f"JSA header: {exc}") from exc
         if (n_i, i_min, i_step) != (n_s, s_min, s_step):
             raise FormatError("JSA signal and idler axes must be identical")
-        values = _read_pairs(path, header)
+        values = _read_pairs(path, header, n_s * n_s)
         if values is None:
             try:
                 values = np.loadtxt(fh, dtype=float, ndmin=2)
@@ -499,30 +500,37 @@ def read_jsa(path) -> JsaGrid:
         )
     if not np.all(np.isfinite(values)):
         raise FormatError("JSA table values must be finite")
-    amp = (values[:, 0] + 1j * values[:, 1]).reshape(n_s, n_s)
+    # a view keeps every bit, the sign of -0.0 included
+    amp = values.view(complex).reshape(n_s, n_s)
     try:
         return JsaGrid(grid, amp)
     except DomainError as exc:
         raise FormatError(f"JSA table: {exc}") from exc
 
 
-def _read_pairs(path, header):
+def _read_pairs(path, header, rows):
     """The rows after ``header`` of a table laid out as :func:`write_jsa`
-    lays it out, read chunk by chunk; None for any other layout."""
-    rows = []
+    lays it out, parsed chunk by chunk into one array; None for any other
+    layout, or for more than ``rows`` rows."""
     with open(path, "rb") as raw:
         if raw.readline() != header.encode("utf-8"):
             return None  # the header line ends in "\r" or "\r\n"
-        rest = b""
-        while chunk := raw.read(_TABLE_CHUNK):
-            text = rest + chunk
-            cut = text.rfind(b"\n") + 1
-            rest = text[cut:]
+        # a row takes at least 4 bytes, "0 0\n"
+        values = np.empty((min(rows, (os.fstat(raw.fileno()).st_size - raw.tell()) // 4), 2))
+        text = bytearray(_TABLE_CHUNK)
+        view = memoryview(text)
+        done = kept = 0
+        while got := raw.readinto(view[kept:]):
+            size = kept + got
+            cut = text.rfind(b"\n", 0, size) + 1
             if cut:
-                part = parse_pairs(memoryview(text)[:cut])
+                part = parse_pairs(view[:cut], values[done:])
                 if part is None:
                     return None
-                rows.append(part)
-    if rest or not rows:
+                done += part.shape[0]
+            # the unfinished last line moves to the front
+            kept = size - cut
+            text[:kept] = text[cut:size]
+    if kept or not done:
         return None
-    return np.concatenate(rows)
+    return values[:done]

@@ -12,11 +12,14 @@ writes as ``float`` and ``%`` do, bit for bit and byte for byte.
 :func:`parse_pairs` rounds the digits with the Eisel-Lemire algorithm (D.
 Lemire, "Number parsing at a gigabyte per second", Software: Practice and
 Experience 51, 2021, in the form of Go's ``strconv.eiselLemire64``). That
-algorithm returns the correctly rounded double or declines. A value it
-declines, or whose text the vector path does not read (a mantissa of about
-19 digits or more, an exponent part of more than 8 bytes, a token longer
-than 24 bytes or ending within the first 24 bytes of the table), is
-converted by ``float``.
+algorithm returns the correctly rounded double or declines. The vector
+path reads the exponent notation that ``%.17g`` and ``repr`` write,
+``[-]D[.F]e±XX[X]`` with 1 to 16 fraction digits, where every part sits
+at a fixed place counted back from the end of the number. A value in any
+other syntax float reads (fixed notation, an exponent of one or of four or
+more digits, 17 or more fraction digits, a ``+`` sign, an upper-case
+``E``), a value whose ``e`` lies within the first 16 bytes of the table,
+and a value Eisel-Lemire declines are converted by ``float``.
 
 :func:`format_pairs` finds the 17 significant digits of a double as Ryu
 printf does (U. Adams, "Ryu revisited: printf floating point conversion",
@@ -35,25 +38,18 @@ import functools
 
 import numpy as np
 
-#: Window width in bytes: the longest value ``%.17g`` writes is 24 bytes,
-#: as in ``-1.2345678901234567e-308``.
+#: Bytes of the longest value ``%.17g`` writes, as in
+#: ``-1.2345678901234567e-308``.
 _W = 24
 
-#: Numbers per block, even so that a block starts a line; a block's byte
-#: matrices stay in the processor cache.
+#: Numbers per block, even so that a block starts a line; a block's
+#: arrays stay in the processor cache.
 _BLOCK = 1 << 13
 
 #: The bytes of a number in the syntax both ``float`` and ``np.loadtxt`` read.
 _NUMBER_BYTES = b"0123456789+-.eE"
 
-#: Column index of each byte of a block's (tokens, 24) matrices.
-_COLS = np.tile(np.arange(_W, dtype=np.uint8), (_BLOCK, 1))
-
-#: ``_TAIL[k]``: 24 bytes, 1 from column k on and 0 before it.
-_TAIL = (np.arange(_W) >= np.arange(_W + 1)[:, None]).astype(np.uint8).view("V24").ravel()
-
-_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
-_ONES = 0x0101010101010101
+_POW10 = np.array([10**k for k in range(17)], dtype=np.uint64)
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Decimal exponents whose powers of five the table below holds.
@@ -139,12 +135,6 @@ def _eisel_lemire(w, q):
     return bits, ok
 
 
-def _byte_sum(cells):
-    """Sum of each row of an (n, 24) uint8 matrix whose sums stay below 256."""
-    words = cells.view(np.uint64)
-    return (((words[:, 0] + words[:, 1] + words[:, 2]) * _ONES) >> 56).view(np.intp)
-
-
 def _eight_digits(words):
     """Value of eight decimal digits, one per byte, first digit lowest."""
     words = (words * 10 + (words >> 8)) & 0x00FF00FF00FF00FF
@@ -152,79 +142,65 @@ def _eight_digits(words):
     return (words * 10000 + (words >> 32)) & 0xFFFFFFFF
 
 
-def _parse_tokens(body, windows, start, end, out):
-    """Write the value of each token ``body[start:end]`` into ``out``.
+def _windows(buf, width):
+    """``[k]``: the ``width`` bytes of ``buf`` from byte k on, without a copy."""
+    return np.ndarray((buf.size - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
 
-    ``windows[k]`` holds the 24 bytes of ``body`` from byte k on. Returns
-    False when a token is not a number.
+
+def _parse_tokens(buf, start, end, out):
+    """Write the value of each token ``buf[start:end]`` into ``out``.
+
+    A token ``[-]D[.F]e±XX[X]`` with 1 to 16 fraction digits F is read at
+    fixed places: the exponent from its last 4 bytes, the fraction from the
+    16 bytes that end at the ``e``, the sign, lead digit and point from its
+    first bytes. Each other token is converted by ``float``. Returns False
+    when a token is not a number.
     """
-    n = start.size
-    cols = _COLS[:n]
-    length = end - start
-    # the window of _W bytes ending at a token's last byte holds the token
-    # from column `lead` on; the bytes before it are zeroed
-    vector = end >= _W
-    lead = np.maximum(_W - length, 0)
-    first = np.arange(0, n * _W, _W) + lead  # of the token, in raveled rows
-    cells = windows[np.maximum(end, _W) - _W].view(np.uint8).reshape(n, _W)
-    cells *= _TAIL[lead].view(np.uint8).reshape(n, _W)
-    digits = cells ^ 0x30
-    is_digit = digits < 10
-    is_e = (cells | 0x20) == ord("e")
-    is_dot = cells == ord(".")
-    is_sign = (cells == ord("+")) | (cells == ord("-"))
-    n_e, n_dot = _byte_sum(is_e), _byte_sum(is_dot)
-    e_col = np.where(n_e == 1, _byte_sum(is_e * cols), _W)
-    dot_col = _byte_sum(is_dot * cols)
-    sign0 = is_sign.ravel()[first]
-    after_e = first - lead + np.minimum(e_col + 1, _W - 1)
-    sign_e = (n_e == 1) & is_sign.ravel()[after_e]
-    n_exp = _W - 1 - e_col - sign_e
-    # with every byte a digit, e, point or sign (which also keeps tokens
-    # longer than the window out), these counts and places leave digits
-    # everywhere else; the exponent part, e included, must fit in the last
-    # 8 columns
-    vector &= (
-        (_byte_sum(is_digit | is_e | is_dot | is_sign) == length)
-        & (n_dot <= 1)
-        & ((n_dot == 0) | (dot_col < e_col))
-        & (_byte_sum(is_sign) - sign0 == sign_e)
-        & (e_col - lead - sign0 - n_dot >= 1)
-        & ((n_e == 0) | (n_exp >= 1))  # and with two e's, n_exp < 0
-        & (e_col >= _W - 8)
+    # the last 4 bytes, "e±XX" or "±XXX", each digit xor 0x30 its value
+    tail = _windows(buf, 4)[np.maximum(end, 4) - 4].view(np.uint32) ^ 0x30303030
+    two = (tail & 0xFF) == ord("e") ^ 0x30
+    shift = two.astype(np.uint32) << 3  # 8 bits more for a two-digit exponent
+    sign_e = (tail >> shift) & 0xFF
+    exp10 = tail & (np.uint32(0xFFFFFF00) << shift)  # the digits alone
+    at_e = end - 5 + two
+    vector = (
+        (at_e >= 16)  # the fraction's window lies in the text
+        & ((sign_e == ord("-") ^ 0x30) | (sign_e == ord("+") ^ 0x30))
+        & ((((exp10 + 0x76767676) | exp10) & 0x80808080) == 0)
     )
-    digits *= is_digit
-    words = digits.view(np.uint64)
-    keep = _ALL << (8 * (8 - np.maximum(n_exp, 0))).view(np.uint64)
-    exp10 = _eight_digits(words[:, 2] & keep).astype(np.intp)
-    exp10 *= 1 - 2 * (sign_e & (cells.ravel()[after_e] == ord("-")))
+    at_e = np.maximum(at_e, 16)
+    vector &= buf[at_e] == ord("e")
+    exp10 = (exp10 * 10 + (exp10 >> 8)) & 0x00FF00FF
+    exp10 = ((exp10 * 100 + (exp10 >> 16)) & 0xFFFF).astype(np.intp)
+    exp10 *= 1 - 2 * (sign_e == ord("-") ^ 0x30)
 
-    # the mantissa's digits, shifted to end at the last column: the shift
-    # drops the exponent part
-    up = (8 * (_W - e_col)).astype(np.uint64)
-    down = 64 - up
-    aligned = np.empty((n, 3), dtype=np.uint64)
-    aligned[:, 0] = words[:, 0] << up
-    aligned[:, 1] = (words[:, 1] << up) | (words[:, 0] >> down)
-    aligned[:, 2] = (words[:, 2] << up) | (words[:, 1] >> down)
-    groups = _eight_digits(aligned)
-    vector &= groups[:, 0] < 1000
-    # the point reads as a zero digit: v = integer * 10**(frac + 1) + fraction
-    v = groups[:, 0] * _POW10[16] + groups[:, 1] * _POW10[8] + groups[:, 2]
-    frac = np.where(n_dot == 1, e_col - dot_col - 1, 19)
-    integer = v // _POW10[np.minimum(frac + 1, 19)]
-    w = v - 9 * integer * _POW10[np.minimum(frac, 19)]
-    q = exp10 - np.where(n_dot == 1, frac, 0)
+    negative = buf[start] == ord("-")
+    lead = start + negative
+    lead_digit = buf[lead] ^ 0x30
+    size = at_e - lead  # of the lead digit, point and fraction
+    point = buf[np.minimum(lead + 1, end)] == ord(".")
+    vector &= (lead_digit < 10) & ((size == 1) | ((size >= 3) & (size <= 18) & point))
+    n_frac = np.clip(size - 2, 0, 16).astype(np.uint64)
+    # the 16 bytes before the e; those before the fraction are cleared
+    frac = _windows(buf, 16)[at_e - 16].view(np.uint64).reshape(-1, 2) ^ 0x3030303030303030
+    cleared = 8 * (16 - n_frac)
+    frac[:, 0] &= _ALL << cleared  # a shift of 64 or more clears the word
+    frac[:, 1] &= _ALL << (np.maximum(cleared, 64) - 64)
+    bad = ((frac + 0x7676767676767676) | frac) & 0x8080808080808080
+    vector &= (bad[:, 0] | bad[:, 1]) == 0
+    frac = _eight_digits(frac)
+    w = lead_digit * _POW10[n_frac] + frac[:, 0] * _POW10[8] + frac[:, 1]
+    q = exp10 - n_frac.astype(np.intp)
 
     zero = w == 0
     vector &= zero | ((q >= _Q_MIN) & (q <= _Q_MAX))
     bits, exact = _eisel_lemire(w | zero, np.clip(q, _Q_MIN, _Q_MAX))
     vector &= zero | exact
     bits *= ~zero
-    bits |= (cells.ravel()[first] == ord("-")).astype(np.uint64) << 63
+    bits |= negative.astype(np.uint64) << 63
     out[:] = bits.view(np.float64)
     for k in np.flatnonzero(~vector):
-        token = bytes(body[start[k] : end[k]])
+        token = buf[start[k] : end[k]].tobytes()
         if token.translate(None, _NUMBER_BYTES):
             return False
         try:
@@ -234,24 +210,31 @@ def _parse_tokens(body, windows, start, end, out):
     return True
 
 
-def parse_pairs(body):
+def parse_pairs(body, out=None):
     """The (n, 2) float array of the table in ``body``, or None.
 
     ``body`` is a bytes-like object. It is read when every line is
     ``<number> <number>\\n``: one space, no other whitespace, a newline
     after the last line, numbers in the syntax of ``float`` without
     underscores. For any other text the result is None, and the caller
-    parses it by other means.
+    parses it by other means. Given ``out``, a C-contiguous (m, 2) float
+    array, the rows are written to its first n rows and the result is that
+    view of it; a table of more than m rows is None.
     """
     buf = np.frombuffer(body, dtype=np.uint8)
     # bytes up to the space are the separators: a number has none of them
     sep = np.flatnonzero(buf <= ord(" "))
     if not sep.size or sep.size % 2 or sep[-1] != buf.size - 1:
         return None
-    values = np.empty(sep.size)
-    # a table shorter than a window is read through float alone
-    padded = buf if buf.size >= _W else np.concatenate((buf, np.zeros(_W, np.uint8)))
-    windows = np.ndarray((padded.size - _W + 1,), dtype="V24", buffer=padded, strides=(1,))
+    if out is None:
+        out = np.empty((sep.size // 2, 2))
+    elif sep.size > out.size:
+        return None
+    out = out[: sep.size // 2]
+    values = out.reshape(-1)
+    # no e of so short a table reaches byte 16: float reads each number
+    if buf.size <= 16:
+        buf = np.concatenate((buf, np.zeros(16, np.uint8)))
     for lo in range(0, sep.size, _BLOCK):
         end = sep[lo : lo + _BLOCK]
         start = np.concatenate((sep[lo - 1 : lo] + 1 if lo else [0], end[:-1] + 1))
@@ -264,9 +247,9 @@ def parse_pairs(body):
             or np.any(end == start)
         ):
             return None
-        if not _parse_tokens(body, windows, start, end, values[lo : lo + _BLOCK]):
+        if not _parse_tokens(buf, start, end, values[lo : lo + _BLOCK]):
             return None
-    return values.reshape(-1, 2)
+    return out
 
 
 #: Bytes of a cell of :func:`format_pairs`: sign, lead digit, point, 16

@@ -49,6 +49,21 @@ def _bits(values):
     return np.asarray(values, dtype=float).ravel().view(np.uint64)
 
 
+def _spy_float(monkeypatch):
+    """The list of the texts the parser hands to float from now on."""
+    calls = []
+    monkeypatch.setattr(textfloat, "float", lambda t: calls.append(t) or float(t), raising=False)
+    return calls
+
+
+#: Finite doubles as %.17g, repr and %.ke (k = 0 to 16) write them.
+_WRITTEN = st.builds(
+    lambda x, style: repr(x) if style == "repr" else style % x,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["%.17g", "repr"] + ["%%.%de" % k for k in range(17)]),
+)
+
+
 def _random_tokens(rng, n):
     """Decimal texts of every shape float reads, from a seeded generator."""
 
@@ -135,27 +150,59 @@ class TestParsePairs:
         ids=["default", "short-ridge"],
     )
     def test_matches_loadtxt_on_written_jsa(self, tmp_path, monkeypatch, model):
-        """A written table parses to np.loadtxt's values, and all but the
-        values that end in its first 24 bytes take the vector path."""
+        """A written 512-point table parses to np.loadtxt's values, and only
+        values that end in its first 24 bytes may reach float."""
         path = tmp_path / "jsa.txt"
-        write_jsa(path, build_jsa(model, GRID))
+        write_jsa(path, build_jsa(model, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)))
         data = path.read_bytes()
         body = data[data.index(b"\n") + 1 :]
-        calls = []
-        monkeypatch.setattr(
-            textfloat, "float", lambda t: calls.append(t) or float(t), raising=False
-        )
+        calls = _spy_float(monkeypatch)
         values = parse_pairs(body)
         assert np.array_equal(_bits(values), _bits(np.loadtxt(path, skiprows=1)))
-        assert len(calls) <= 2
+        first = body[:25]
+        assert set(calls) <= set(first[: max(first.rfind(b" "), first.rfind(b"\n"))].split())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_WRITTEN, _WRITTEN), min_size=1, max_size=20))
+    def test_matches_float_on_drawn_doubles(self, rows):
+        """Doubles written by %.17g, repr and %.ke (k = 0 to 16), in either
+        column, read as float reads their text, bit for bit."""
+        tokens = ["1.25e-05", "2.5e-05"] + [token for row in rows for token in row]
+        values = parse_pairs(_table(tokens))
+        assert np.array_equal(_bits(values), _bits([float(t) for t in tokens]))
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1.e-05", "1.5e-5", "1.5e+0005", "1.23456789012345678e-05", "0", "-0",
+         "01.5e-05"],
+    )
+    def test_near_misses_take_float(self, monkeypatch, token):
+        """Numbers one step outside the exponent notation of the vector path
+        are read by float, in both columns."""
+        tokens = ["-1.2345678901234567e-105", "9.8765432109876543e-13", token, token,
+                  "-3.75e-105", "5e+07"]
+        calls = _spy_float(monkeypatch)
+        values = parse_pairs(_table(tokens))
+        assert calls == [token.encode()] * 2
+        assert np.array_equal(_bits(values), _bits([float(t) for t in tokens]))
 
     def test_values_in_the_first_window(self):
-        """Values ending in the first 24 bytes are read by float, not from
-        a window that starts before them."""
+        """Values at the start of the table are read by float, not from a
+        window that starts before them."""
         table = b"7 8\n123456789012345678 9\n" + b"1.25 2.5\n" * 3
         assert parse_pairs(table).tolist() == (
             [[7.0, 8.0], [123456789012345678.0, 9.0]] + [[1.25, 2.5]] * 3
         )
+
+    @pytest.mark.parametrize("at_e", [14, 15, 16, 17])
+    def test_values_beside_the_first_fraction_window(self, at_e):
+        """A value whose e lies just before byte 16, the first place with 16
+        bytes before it, or just after it reads as float reads it; the table
+        ends in digits, which a window that wrapped round would read."""
+        tokens = ["1.25", "1." + "3" * (at_e - 7) + "e-05", "7", "1234567890123456789"]
+        table = _table(tokens)
+        assert table.index(b"e") == at_e
+        assert np.array_equal(_bits(parse_pairs(table)), _bits([float(t) for t in tokens]))
 
     @pytest.mark.parametrize(
         "body",
@@ -177,7 +224,8 @@ class TestParsePairs:
         "token",
         ["1e", "e5", "--1", "1.2.3", "1e5e5", ".", "+", "1-2", "1e+-5", "1e5.",
          "1_0", "0x10", "inf", "nan", "1..", ".e1", "1ee5", "\xff",
-         "1.2.345678901234567"],
+         "1.2.345678901234567", "1.25-105", "1.2.45e-05", "1.2+4e-105",
+         "1.2e4e-05"],
     )
     def test_text_that_is_not_a_number_is_left_to_the_caller(self, token):
         for table in (f"{token} 1\n" + "1.25 2.5\n" * 4,
@@ -186,7 +234,7 @@ class TestParsePairs:
 
     def test_working_set_is_blocks_of_the_table(self, tmp_path):
         """Besides a mask of its bytes, the separator positions and the
-        values, a parse holds one block of matrices at a time."""
+        values, a parse holds one block of arrays at a time."""
         path = tmp_path / "jsa.txt"
         write_jsa(path, build_jsa(PdcModel(), GRID))
         data = path.read_bytes()
