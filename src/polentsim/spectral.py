@@ -467,7 +467,7 @@ def write_jsa(path, jsa: JsaGrid) -> None:
 
 
 #: Bytes of a JSA table read and parsed at a time.
-_TABLE_CHUNK = 1 << 20
+_TABLE_CHUNK = 1 << 19
 
 
 def read_jsa(path) -> JsaGrid:
@@ -524,10 +524,11 @@ def _read_pairs(path, header, rows):
             size = kept + got
             cut = text.rfind(b"\n", 0, size) + 1
             if cut:
-                part = parse_pairs(view[:cut], values[done:])
-                if part is None:
+                part = parse_pairs(view[:cut])
+                if part is None or done + len(part) > len(values):
                     return None
-                done += part.shape[0]
+                values[done : done + len(part)] = part
+                done += len(part)
             # the unfinished last line moves to the front
             kept = size - cut
             text[:kept] = text[cut:size]

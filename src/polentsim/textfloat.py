@@ -15,11 +15,12 @@ Experience 51, 2021, in the form of Go's ``strconv.eiselLemire64``). That
 algorithm returns the correctly rounded double or declines. The vector
 path reads the exponent notation that ``%.17g`` and ``repr`` write,
 ``[-]D[.F]e±XX[X]`` with 1 to 16 fraction digits, where every part sits
-at a fixed place counted back from the end of the number. A value in any
-other syntax float reads (fixed notation, an exponent of one or of four or
-more digits, 17 or more fraction digits, a ``+`` sign, an upper-case
-``E``), a value whose ``e`` lies within the first 16 bytes of the table,
-and a value Eisel-Lemire declines are converted by ``float``.
+at a fixed place counted back from the end of the number, and the exact
+zeros ``0`` and ``-0`` that ``%.17g`` writes. A value in any other syntax
+float reads (other fixed notation, an exponent of one or of four or more
+digits, 17 or more fraction digits, a ``+`` sign, an upper-case ``E``), a
+value whose ``e`` lies within the first 16 bytes of the table, and a value
+Eisel-Lemire declines (a subnormal, for one) are converted by ``float``.
 
 :func:`format_pairs` finds the 17 significant digits of a double as Ryu
 printf does (U. Adams, "Ryu revisited: printf floating point conversion",
@@ -153,8 +154,9 @@ def _parse_tokens(buf, start, end, out):
     A token ``[-]D[.F]e±XX[X]`` with 1 to 16 fraction digits F is read at
     fixed places: the exponent from its last 4 bytes, the fraction from the
     16 bytes that end at the ``e``, the sign, lead digit and point from its
-    first bytes. Each other token is converted by ``float``. Returns False
-    when a token is not a number.
+    first bytes. A token ``0`` or ``-0`` is read as a signed zero. Each
+    other token is converted by ``float``. Returns False when a token is
+    not a number.
     """
     # the last 4 bytes, "e±XX" or "±XXX", each digit xor 0x30 its value
     tail = _windows(buf, 4)[np.maximum(end, 4) - 4].view(np.uint32) ^ 0x30303030
@@ -188,11 +190,14 @@ def _parse_tokens(buf, start, end, out):
     frac[:, 1] &= _ALL << (np.maximum(cleared, 64) - 64)
     bad = ((frac + 0x7676767676767676) | frac) & 0x8080808080808080
     vector &= (bad[:, 0] | bad[:, 1]) == 0
+    # the exact zeros %.17g writes as "0" and "-0"
+    bare_zero = (end - lead == 1) & (lead_digit == 0)
+    vector |= bare_zero
     frac = _eight_digits(frac)
     w = lead_digit * _POW10[n_frac] + frac[:, 0] * _POW10[8] + frac[:, 1]
     q = exp10 - n_frac.astype(np.intp)
 
-    zero = w == 0
+    zero = (w == 0) | bare_zero
     vector &= zero | ((q >= _Q_MIN) & (q <= _Q_MAX))
     bits, exact = _eisel_lemire(w | zero, np.clip(q, _Q_MIN, _Q_MAX))
     vector &= zero | exact
@@ -210,27 +215,21 @@ def _parse_tokens(buf, start, end, out):
     return True
 
 
-def parse_pairs(body, out=None):
+def parse_pairs(body):
     """The (n, 2) float array of the table in ``body``, or None.
 
     ``body`` is a bytes-like object. It is read when every line is
     ``<number> <number>\\n``: one space, no other whitespace, a newline
     after the last line, numbers in the syntax of ``float`` without
     underscores. For any other text the result is None, and the caller
-    parses it by other means. Given ``out``, a C-contiguous (m, 2) float
-    array, the rows are written to its first n rows and the result is that
-    view of it; a table of more than m rows is None.
+    parses it by other means.
     """
     buf = np.frombuffer(body, dtype=np.uint8)
     # bytes up to the space are the separators: a number has none of them
     sep = np.flatnonzero(buf <= ord(" "))
     if not sep.size or sep.size % 2 or sep[-1] != buf.size - 1:
         return None
-    if out is None:
-        out = np.empty((sep.size // 2, 2))
-    elif sep.size > out.size:
-        return None
-    out = out[: sep.size // 2]
+    out = np.empty((sep.size // 2, 2))
     values = out.reshape(-1)
     # no e of so short a table reaches byte 16: float reads each number
     if buf.size <= 16:

@@ -564,9 +564,9 @@ class TestJsaFile:
     def test_writer_layout_is_read_by_parse_pairs(self, tmp_path, monkeypatch):
         chunks = []
 
-        def spy(body, out):
+        def spy(body):
             chunks.append(len(body))
-            return parse_pairs(body, out)
+            return parse_pairs(body)
 
         jsa = build_jsa(MODEL, GRID)
         path = tmp_path / "jsa.txt"
