@@ -10,7 +10,7 @@ delay (:mod:`.jointstate`).  The state is characterized directly
 files and plot-ready tables.
 """
 
-from .dichroic import SplitterResponse, edge_response, read_transmission_table
+from .dichroic import SplitterResponse, read_transmission_table
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -54,11 +54,9 @@ from .spectral import (
     write_jsa,
 )
 from .tomography import (
-    CountRecord,
     CountTable,
     attach_accidentals,
     calibrate_pair_rate,
-    estimate_accidentals,
     expected_rates,
     linear_inversion,
     mix_background,

@@ -113,7 +113,7 @@ def cmd_jsa(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     amps = _post_selected(config)
-    if args.delay_fs:
+    if args.delay_fs is not None:
         taus = _parse_delays(args.delay_fs)
     else:
         taus = jointstate.uniform_delays(

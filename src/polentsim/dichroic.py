@@ -85,12 +85,6 @@ class SplitterResponse:
         return 1.0 / (1.0 + np.exp(-arg))
 
 
-def edge_response(resp: SplitterResponse, omega, polarization: str):
-    """(T, R) of the mirror at omega for one polarization; R = 1 - T."""
-    t = resp.transmission(omega, polarization)
-    return t, 1.0 - t
-
-
 @dataclass(frozen=True)
 class SplitterCurves:
     """Per-axis transmission/reflection samples for element-wise use."""

@@ -54,18 +54,6 @@ class PostSelectedAmplitudes:
     beta: float
 
     @cached_property
-    def g(self) -> np.ndarray:
-        """Signal transmitted, idler reflected: f sqrt(t_H) sqrt(r_V)."""
-        c = self.curves
-        return self.amplitude * np.outer(np.sqrt(c.t_h), np.sqrt(c.r_v))
-
-    @cached_property
-    def h(self) -> np.ndarray:
-        """Signal reflected, idler transmitted: f sqrt(r_H) sqrt(t_V)."""
-        c = self.curves
-        return self.amplitude * np.outer(np.sqrt(c.r_h), np.sqrt(c.t_v))
-
-    @cached_property
     def difference_spectrum(self):
         """(d_omega, table) with D(tau) the sum over (k1, k0) of
         table[k1, k0] exp(i tau (k1 B + k0 - (n - 1)) d_omega), B =
@@ -303,6 +291,8 @@ class DegradationModel:
     def __post_init__(self):
         if not 0.0 < self.amplitude_scale <= 1.0:
             raise DomainError("amplitude_scale must lie in (0, 1]")
+        if not np.isfinite(self.time_offset):
+            raise DomainError("time_offset must be finite")
 
 
 def _interp_complex(x, xp, fp):

@@ -6,10 +6,13 @@ import numpy as np
 
 from .errors import DomainError, InvalidStateError
 from .jointstate import PolarizationDensityMatrix
-from .tomography import CountTable
+from .tomography import PROJECTION_PAIRS, CountTable
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+
+#: Count-table rows of the cross-polarized settings (H,V) and (V,H).
+_CROSS = [PROJECTION_PAIRS.index(("H", "V")), PROJECTION_PAIRS.index(("V", "H"))]
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -64,15 +67,11 @@ def extract_d(rho):
 
 def car(table: CountTable) -> float:
     """Coincidences-to-accidentals ratio of the cross-polarized settings."""
-    best = None
-    for pair in (("H", "V"), ("V", "H")):
-        rec = table.get(*pair)
-        if rec.accidentals > 0:
-            ratio = rec.coincidences / rec.accidentals
-            best = ratio if best is None else max(best, ratio)
-    if best is None:
-        raise DomainError("no cross-polarized record with positive accidentals")
-    return float(best)
+    accidentals = table.accidentals[_CROSS]
+    positive = accidentals > 0
+    if not positive.any():
+        raise DomainError("no cross-polarized setting with positive accidentals")
+    return float(np.max(table.coincidences[_CROSS][positive] / accidentals[positive]))
 
 
 def format_report(values: dict) -> str:

@@ -11,7 +11,7 @@ maximum-likelihood state and every iterate is physical by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,10 +45,8 @@ PROJECTION_PAIRS = tuple((a, b) for a in BASIS_ORDER for b in BASIS_ORDER)
 
 _PAIR_INDEX = {pair: k for k, pair in enumerate(PROJECTION_PAIRS)}
 
-#: Complementary partner within each analysis basis.
-_PARTNER = {"H": "V", "V": "H", "Dp": "Dm", "Dm": "Dp", "R": "L", "L": "R"}
-
-_FAMILIES = {"HV": ("H", "V"), "DD": ("Dp", "Dm"), "RL": ("R", "L")}
+#: Each analysis-basis family's rows and columns of the 6 x 6 settings.
+_FAMILIES = {"HV": slice(0, 2), "DD": slice(2, 4), "RL": slice(4, 6)}
 
 #: Step cap and relative likelihood-gain stop of :func:`mle_reconstruct`.
 _MLE_MAX_ITER = 10_000
@@ -73,43 +71,25 @@ _PROJECTORS = np.array([projector(a, b) for a, b in PROJECTION_PAIRS])
 _PROJECTORS.flags.writeable = False
 
 
-def projector_stack() -> np.ndarray:
-    """All 36 projectors as a read-only (36, 4, 4) array in canonical order."""
-    return _PROJECTORS
-
-
 def projection_probabilities(rho) -> np.ndarray:
     """Tr(P_nu rho) for every projection, canonical order."""
     rho = rho.elements if isinstance(rho, PolarizationDensityMatrix) else rho
     return np.real(np.einsum("nij,ji->n", _PROJECTORS, rho))
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """One projection setting with its raw counts."""
-
-    basis_a: str
-    basis_b: str
-    coincidences: int
-    singles_a: int
-    singles_b: int
-    accidentals: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis_a", canonical_label(self.basis_a))
-        object.__setattr__(self, "basis_b", canonical_label(self.basis_b))
-        for name in ("coincidences", "singles_a", "singles_b"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be non-negative")
-        if self.accidentals < 0:
-            raise DomainError("accidentals must be non-negative")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountTable:
-    """All 36 projection records plus acquisition parameters."""
+    """The 36 settings' counts as read-only arrays in ``PROJECTION_PAIRS``
+    order, plus the acquisition parameters.
 
-    records: tuple
+    ``coincidences`` is int64 (36,), ``singles`` int64 (36, 2) for the two
+    arms, and ``accidentals`` float (36,), zero until
+    :func:`attach_accidentals` fills it.
+    """
+
+    coincidences: np.ndarray
+    singles: np.ndarray
+    accidentals: np.ndarray = field(default_factory=lambda: np.zeros(36))
     acquisition_time: float = 120.0
     gate_rate: float = 1.9e6
 
@@ -118,31 +98,19 @@ class CountTable:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be positive and finite")
-        recs = tuple(self.records)
-        pairs = [(r.basis_a, r.basis_b) for r in recs]
-        missing = [p for p in PROJECTION_PAIRS if p not in pairs]
-        if missing:
-            raise FormatError(
-                f"count table missing projection {missing[0][0]},{missing[0][1]}"
-            )
-        if len(recs) != 36:
-            raise FormatError("count table must hold exactly 36 records")
-        # store canonically ordered
-        by_pair = {(r.basis_a, r.basis_b): r for r in recs}
-        object.__setattr__(
-            self, "records", tuple(by_pair[p] for p in PROJECTION_PAIRS)
-        )
-
-    def coincidence_array(self) -> np.ndarray:
-        return np.array([r.coincidences for r in self.records], dtype=float)
-
-    def accidental_array(self) -> np.ndarray:
-        return np.array([r.accidentals for r in self.records], dtype=float)
-
-    def get(self, basis_a: str, basis_b: str) -> CountRecord:
-        return self.records[
-            _PAIR_INDEX[(canonical_label(basis_a), canonical_label(basis_b))]
-        ]
+        for name, dtype, shape in (
+            ("coincidences", np.int64, (36,)),
+            ("singles", np.int64, (36, 2)),
+            ("accidentals", np.float64, (36,)),
+        ):
+            array = np.array(getattr(self, name))
+            if array.shape != shape or not np.can_cast(array.dtype, dtype, "same_kind"):
+                raise DomainError(f"{name} must be a {shape} array of {dtype.__name__}")
+            array = array.astype(dtype, copy=False)
+            if not np.all((array >= 0) & np.isfinite(array)):
+                raise DomainError(f"{name} must be finite and non-negative")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 def expected_rates(
@@ -196,49 +164,28 @@ def sample_counts(
         singles = rng.poisson(singles_rate * acquisition_time, size=(36, 2))
     except ValueError as exc:
         raise DomainError(f"cannot draw Poisson counts: {exc}") from exc
-    records = [
-        CountRecord(
-            basis_a=a,
-            basis_b=b,
-            coincidences=int(coincidences[k]),
-            singles_a=int(singles[k, 0]),
-            singles_b=int(singles[k, 1]),
-        )
-        for k, (a, b) in enumerate(PROJECTION_PAIRS)
-    ]
     return CountTable(
-        records=tuple(records),
+        coincidences=coincidences,
+        singles=singles,
         acquisition_time=acquisition_time,
         gate_rate=gate_rate,
     )
 
 
-def estimate_accidentals(
-    record: CountRecord, gate_rate: float, acquisition_time: float
-) -> float:
-    """Accidental coincidences expected from uncorrelated singles."""
-    if gate_rate <= 0:
-        raise DomainError("gate rate must be positive")
-    return record.singles_a * record.singles_b / (gate_rate * acquisition_time)
-
-
 def attach_accidentals(table: CountTable) -> CountTable:
-    """Fill every record's accidental estimate from its singles."""
-    records = tuple(
-        replace(
-            r,
-            accidentals=estimate_accidentals(
-                r, table.gate_rate, table.acquisition_time
-            ),
+    """Fill the accidentals s_a s_b / (g T) expected from uncorrelated
+    singles s_a, s_b at gate rate g over acquisition time T."""
+    singles = table.singles.astype(float)
+    with np.errstate(all="ignore"):  # a non-finite result is rejected
+        accidentals = singles[:, 0] * singles[:, 1] / (
+            table.gate_rate * table.acquisition_time
         )
-        for r in table.records
-    )
-    return replace(table, records=records)
+    return replace(table, accidentals=accidentals)
 
 
 def subtract_accidentals(table: CountTable) -> np.ndarray:
     """Per-projection coincidences minus accidentals, clamped at zero."""
-    return np.maximum(0.0, table.coincidence_array() - table.accidental_array())
+    return np.maximum(0.0, table.coincidences - table.accidentals)
 
 
 def _dual_frame() -> np.ndarray:
@@ -327,24 +274,21 @@ def mle_reconstruct(corrected) -> PolarizationDensityMatrix:
 def visibility(corrected, family: str) -> float:
     """Contrast within one analysis-basis family (HV, DD, or RL).
 
-    Uses the family's four corrected projection values; the reported value
-    pairs the maximal record with its complementary partner.
+    Uses the family's 2 x 2 block of corrected projection values; the
+    reported value pairs the first maximal setting with its complementary
+    partner, the other column of the same row.
     """
     if family not in _FAMILIES:
         raise DomainError(f"unknown basis family {family!r}")
-    labels = _FAMILIES[family]
     values = np.asarray(corrected, dtype=float)
     if values.shape != (36,):
         raise DomainError("need 36 corrected projection values")
-    quad = {
-        (a, b): values[_PAIR_INDEX[a, b]]
-        for a in labels
-        for b in labels
-    }
-    if all(v == 0 for v in quad.values()):
+    rows = _FAMILIES[family]
+    block = values.reshape(6, 6)[rows, rows]
+    if not np.any(block):
         raise UndefinedVisibilityError(f"family {family} has no counts")
-    (a_max, b_max), n_max = max(quad.items(), key=lambda kv: kv[1])
-    n_min = quad[(a_max, _PARTNER[b_max])]
+    row, col = divmod(int(np.argmax(block)), 2)
+    n_max, n_min = block[row, col], block[row, 1 - col]
     return float((n_max - n_min) / (n_max + n_min))
 
 
@@ -365,18 +309,18 @@ def write_count_table(path, table: CountTable) -> None:
     """Write the count-table file (also the import format for real data)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# %.17g %.17g\n" % (table.acquisition_time, table.gate_rate))
-        for r in table.records:
-            fh.write(
-                "%s %s %d %d %d\n"
-                % (r.basis_a, r.basis_b, r.coincidences, r.singles_a, r.singles_b)
-            )
+        for (a, b), c, (s_a, s_b) in zip(
+            PROJECTION_PAIRS, table.coincidences.tolist(), table.singles.tolist()
+        ):
+            fh.write("%s %s %d %d %d\n" % (a, b, c, s_a, s_b))
 
 
 def read_count_table(path) -> CountTable:
-    """Read a count table; every projection pair must appear exactly once."""
-    records = []
+    """Read a count table; every projection pair must appear exactly once,
+    with counts in [0, 2^63 - 1]."""
+    counts = np.zeros((36, 3), dtype=np.int64)  # coincidences, singles a, b
+    seen = np.zeros(36, dtype=bool)
     acquisition_time = gate_rate = None
-    seen = set()
     with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -407,31 +351,29 @@ def read_count_table(path) -> CountTable:
                     "singlesA singlesB'"
                 )
             try:
-                rec = CountRecord(
-                    basis_a=parts[0],
-                    basis_b=parts[1],
-                    coincidences=int(parts[2]),
-                    singles_a=int(parts[3]),
-                    singles_b=int(parts[4]),
-                )
+                values = [int(p) for p in parts[2:]]
+                pair = (canonical_label(parts[0]), canonical_label(parts[1]))
             except (ValueError, DomainError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            key = (rec.basis_a, rec.basis_b)
-            if key in seen:
+            if not all(0 <= v < 2**63 for v in values):  # int64
                 raise FormatError(
-                    f"{path}:{lineno}: duplicate projection {key[0]},{key[1]}"
+                    f"{path}:{lineno}: counts must lie in [0, 2^63 - 1]"
                 )
-            seen.add(key)
-            records.append(rec)
+            k = _PAIR_INDEX[pair]
+            if seen[k]:
+                raise FormatError(
+                    f"{path}:{lineno}: duplicate projection {pair[0]},{pair[1]}"
+                )
+            seen[k] = True
+            counts[k] = values
     if acquisition_time is None:
         raise FormatError(f"{path}: missing header line")
-    missing = [p for p in PROJECTION_PAIRS if p not in seen]
-    if missing:
-        raise FormatError(
-            f"{path}: missing projection {missing[0][0]},{missing[0][1]}"
-        )
+    if not seen.all():
+        a, b = PROJECTION_PAIRS[int(np.argmin(seen))]
+        raise FormatError(f"{path}: missing projection {a},{b}")
     return CountTable(
-        records=tuple(records),
+        coincidences=counts[:, 0],
+        singles=counts[:, 1:],
         acquisition_time=acquisition_time,
         gate_rate=gate_rate,
     )

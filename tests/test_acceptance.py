@@ -9,7 +9,7 @@ degradation) are fitted, never hard-coded to the expected outputs.
 import numpy as np
 import pytest
 
-from polentsim import calibrate, jointstate, metrics, spectral, tomography
+from polentsim import calibrate, jointstate, metrics, spectral
 from polentsim.dichroic import SplitterResponse
 from polentsim.jointstate import (
     DegradationModel,
@@ -23,7 +23,7 @@ from polentsim.jointstate import (
 )
 from polentsim.spectral import FrequencyGrid, JsaGrid, PdcModel, build_jsa
 from polentsim.tomography import (
-    CountRecord,
+    CountTable,
     attach_accidentals,
     calibrate_pair_rate,
     expected_rates,
@@ -133,12 +133,15 @@ def test_criterion_03_car_arithmetic():
     """4/s coincidences over 870/s singles per arm at a 1.9 MHz gate give
     a coincidences-to-accidentals ratio of 10.0, within 10% of the
     reported 9.5."""
-    singles = int(SINGLES_RATE * ACQUISITION)
-    record = CountRecord(
-        "H", "V", int(COINC_RATE * ACQUISITION), singles, singles
+    table = attach_accidentals(
+        CountTable(
+            coincidences=np.full(36, int(COINC_RATE * ACQUISITION)),
+            singles=np.full((36, 2), int(SINGLES_RATE * ACQUISITION)),
+            acquisition_time=ACQUISITION,
+            gate_rate=GATE_RATE,
+        )
     )
-    acc = tomography.estimate_accidentals(record, GATE_RATE, ACQUISITION)
-    ratio = record.coincidences / acc
+    ratio = metrics.car(table)
     ok = abs(ratio - 10.0) < 0.1 and abs(ratio / CAR_REPORTED - 1) < 0.10
     _report(3, ok, "accidentals arithmetic", f"CAR {ratio:.2f}")
     assert ratio == pytest.approx(10.0, abs=0.1)

@@ -278,6 +278,27 @@ class TestSweepCommand:
         ) == 2
         assert capsys.readouterr().err.startswith("error[config]:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--degrade", "0.5,nan"],
+         ["sweep", "--degrade", "0.5,inf"],
+         ["tomo", "simulate", "--degrade", "0.5,nan"],
+         ["sweep", "--delay-fs="]],
+        ids=["sweep-nan-offset", "sweep-inf-offset", "simulate-nan-offset",
+             "empty-delay-list"],
+    )
+    def test_non_finite_offset_or_empty_delays_exit_code(
+        self, config_path, tmp_path, capsys, argv
+    ):
+        out = tmp_path / "out"
+        code = run([*argv, "--config", config_path, "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[config]:")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestTomoCommands:
     def test_simulate_then_reconstruct(self, config_path, tmp_path):
@@ -286,7 +307,7 @@ class TestTomoCommands:
             ["tomo", "simulate", "--config", config_path, "--out", str(out)]
         ) == 0
         table = read_count_table(out / "counts.txt")
-        assert len(table.records) == 36
+        assert table.coincidences.shape == (36,)
         assert run(
             ["tomo", "reconstruct", "--config", config_path,
              "--out", str(out), "--counts", str(out / "counts.txt"),
@@ -410,6 +431,37 @@ class TestTomoCommands:
         assert captured.out == ""
         assert captured.err.startswith("error[format]:")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "counts",
+        [{3: 10**301, 4: 10**301}, {2: 10**23}],
+        ids=["singles-1e301", "coincidences-1e23"],
+    )
+    @pytest.mark.parametrize("command", ["tomo-reconstruct", "metrics"])
+    def test_count_beyond_int64_exit_code(
+        self, config_path, tmp_path, capsys, counts, command
+    ):
+        out = tmp_path / "out"
+        run(["tomo", "simulate", "--config", config_path, "--out", str(out)])
+        lines = (out / "counts.txt").read_text().splitlines()
+        parts = lines[1].split()
+        for column, count in counts.items():
+            parts[column] = str(count)
+        lines[1] = " ".join(parts)
+        broken = tmp_path / "broken.txt"
+        broken.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = {
+            "tomo-reconstruct": ["tomo", "reconstruct", "--config", config_path,
+                                 "--out", str(out)],
+            "metrics": ["metrics", "--matrix", str(out / "model_matrix.txt")],
+        }[command]
+        assert run([*argv, "--counts", str(broken)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[format]: {broken}:2: counts must lie in [0, 2^63 - 1]\n"
+        )
 
 
 class TestMetricsCommand:

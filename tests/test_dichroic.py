@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from polentsim.dichroic import (
     SplitterResponse,
-    edge_response,
     read_transmission_table,
     sample_on_grid,
 )
@@ -21,46 +20,44 @@ wavelengths = st.floats(min_value=1450e-9, max_value=1650e-9)
 
 class TestEdgeResponse:
     def test_half_transmission_at_edge(self):
-        t, r = edge_response(DEFAULT, wavelength_to_omega(1535.2e-9), "H")
+        t = DEFAULT.transmission(wavelength_to_omega(1535.2e-9), "H")
         assert t == pytest.approx(0.5, abs=1e-12)
-        assert r == pytest.approx(0.5, abs=1e-12)
 
     def test_per_polarization_edges(self):
         resp = SplitterResponse(
             edge_wavelength_h=1530e-9, edge_wavelength_v=1540e-9
         )
-        t_h, _ = edge_response(resp, wavelength_to_omega(1530e-9), "H")
-        t_v, _ = edge_response(resp, wavelength_to_omega(1540e-9), "V")
+        t_h = resp.transmission(wavelength_to_omega(1530e-9), "H")
+        t_v = resp.transmission(wavelength_to_omega(1540e-9), "V")
         assert t_h == pytest.approx(0.5, abs=1e-12)
         assert t_v == pytest.approx(0.5, abs=1e-12)
 
     def test_deep_transmission_band(self):
         # five step widths past the edge on the transmitting side
         lam = 1535.2e-9 + 5 * DEFAULT.step_width
-        t, _ = edge_response(DEFAULT, wavelength_to_omega(lam), "H")
+        t = DEFAULT.transmission(wavelength_to_omega(lam), "H")
         assert t > 0.999
 
     def test_ten_ninety_width(self):
         half = DEFAULT.step_width / 2
-        t_lo, _ = edge_response(
-            DEFAULT, wavelength_to_omega(1535.2e-9 - half), "H"
-        )
-        t_hi, _ = edge_response(
-            DEFAULT, wavelength_to_omega(1535.2e-9 + half), "H"
-        )
+        t_lo = DEFAULT.transmission(wavelength_to_omega(1535.2e-9 - half), "H")
+        t_hi = DEFAULT.transmission(wavelength_to_omega(1535.2e-9 + half), "H")
         assert t_lo == pytest.approx(0.1, abs=1e-9)
         assert t_hi == pytest.approx(0.9, abs=1e-9)
 
     def test_transmit_short_sense(self):
         resp = SplitterResponse(transmit_long=False)
         lam = 1535.2e-9 - 5 * resp.step_width
-        t, _ = edge_response(resp, wavelength_to_omega(lam), "H")
+        t = resp.transmission(wavelength_to_omega(lam), "H")
         assert t > 0.999
 
+    @settings(deadline=None)
     @given(wavelengths)
     def test_energy_conservation_exact(self, lam):
-        t, r = edge_response(DEFAULT, wavelength_to_omega(lam), "V")
-        assert t + r == 1.0
+        """R = 1 - T exactly, on a grid centred anywhere in the band."""
+        curves = sample_on_grid(DEFAULT, FrequencyGrid.centered(lam, 10e-9, n=8))
+        assert np.all(curves.t_h + curves.r_h == 1.0)
+        assert np.all(curves.t_v + curves.r_v == 1.0)
 
     @settings(deadline=None)
     @given(wavelengths, wavelengths)

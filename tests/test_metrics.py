@@ -17,6 +17,7 @@ from polentsim.metrics import (
     state_report,
 )
 from polentsim.tomography import (
+    PROJECTION_PAIRS,
     attach_accidentals,
     expected_rates,
     sample_counts,
@@ -145,11 +146,12 @@ class TestCar:
         means = expected_rates(BELL, 8.0, 870.0**2 / 1.9e6)
         table = attach_accidentals(sample_counts(means, seed=13))
         value = car(table)
-        rec = max(
-            (table.get("H", "V"), table.get("V", "H")),
-            key=lambda r: r.coincidences / r.accidentals,
-        )
-        assert value == pytest.approx(rec.coincidences / rec.accidentals)
+        ratios = []
+        for pair in (("H", "V"), ("V", "H")):
+            k = PROJECTION_PAIRS.index(pair)
+            s_a, s_b = table.singles[k]
+            ratios.append(table.coincidences[k] / (s_a * s_b / (1.9e6 * 120.0)))
+        assert value == pytest.approx(max(ratios), rel=1e-15)
 
     def test_rejects_zero_accidentals(self):
         means = expected_rates(BELL, 8.0, 0.4)

@@ -91,3 +91,41 @@ def test_benchmark_names_exist():
     grid = FrequencyGrid.centered(1535.2e-9, 40e-9, 64)
     assert grid.omega_s_axis is grid.axis and grid.omega_i_axis is grid.axis
     assert grid.cell == grid.d_omega**2
+
+
+
+def _used_names(tree) -> set:
+    """Names a module refers to: identifiers, attributes, imported names and
+    the modules they come from.  A function or class is not a use of itself."""
+    used = set()
+    for top in tree.body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= set((node.module or "").split("."))
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names |= {part for a in node.names for part in a.name.split(".")}
+        names.discard(getattr(top, "name", None))
+        used |= names
+    return used
+
+
+def test_exported_names_have_a_caller():
+    """Every name the package exports is used by the package itself (outside
+    its definition and ``__init__``) or by the benchmark; a name that only
+    the tests call belongs in the tests."""
+    root = Path(__file__).resolve().parents[1]
+    sources = [
+        path
+        for path in sorted((root / "src" / "polentsim").glob("*.py"))
+        if path.name != "__init__.py"
+    ] + sorted((root / "perfbench").rglob("*.py"))
+    used = set()
+    for path in sources:
+        used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(polentsim.__all__) - used) == []

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polentsim import tomography
@@ -16,27 +16,26 @@ from polentsim.jointstate import PolarizationDensityMatrix, density_matrix
 from polentsim.metrics import fidelity
 from polentsim.tomography import (
     _DUAL,
+    _PROJECTORS,
     BASIS_KETS,
     PROJECTION_PAIRS,
-    CountRecord,
     CountTable,
     attach_accidentals,
     calibrate_pair_rate,
     canonical_label,
-    estimate_accidentals,
     expected_rates,
     linear_inversion,
     mix_background,
     mle_reconstruct,
     projection_probabilities,
     projector,
-    projector_stack,
     read_count_table,
     sample_counts,
     subtract_accidentals,
     visibility,
     write_count_table,
 )
+from state_oracles import projector_stack
 
 BELL = density_matrix(0.5, 0.5, 0.5)  # (|HV> + |VH>)/sqrt(2)
 
@@ -99,9 +98,9 @@ class TestProjectors:
             canonical_label("Q")
 
     def test_projectors_sum_to_nine_identity(self):
-        stack = projector_stack()
-        assert not stack.flags.writeable
-        assert np.allclose(stack.sum(axis=0), 9.0 * np.eye(4), atol=1e-14)
+        assert not _PROJECTORS.flags.writeable
+        assert np.array_equal(_PROJECTORS, projector_stack())
+        assert np.allclose(_PROJECTORS.sum(axis=0), 9.0 * np.eye(4), atol=1e-14)
 
     def test_dual_frame_reconstructs_any_operator(self):
         """sum_k Tr(P_k X) Q_k = X: the 36 settings are informationally
@@ -152,34 +151,89 @@ class TestSampling:
         means = expected_rates(BELL, 8.0, 0.4)
         a = sample_counts(means, seed=42)
         b = sample_counts(means, seed=42)
-        assert a == b
+        assert np.array_equal(a.coincidences, b.coincidences)
+        assert np.array_equal(a.singles, b.singles)
 
     def test_different_seeds_differ(self):
         means = expected_rates(BELL, 8.0, 0.4)
-        assert sample_counts(means, seed=1) != sample_counts(means, seed=2)
+        a = sample_counts(means, seed=1)
+        b = sample_counts(means, seed=2)
+        assert not (
+            np.array_equal(a.coincidences, b.coincidences)
+            and np.array_equal(a.singles, b.singles)
+        )
 
     def test_counts_near_means(self):
         means = expected_rates(BELL, 8.0, 0.4)
         table = sample_counts(means, seed=3)
-        counts = table.coincidence_array()
+        counts = table.coincidences
         # 6 sigma on every Poisson draw
         assert np.all(np.abs(counts - means) <= 6 * np.sqrt(means) + 6)
 
     def test_accidental_arithmetic(self):
-        rec = CountRecord("H", "V", 480, 104400, 104400)
-        acc = estimate_accidentals(rec, gate_rate=1.9e6, acquisition_time=120.0)
-        assert acc == pytest.approx(104400**2 / (1.9e6 * 120.0))
+        singles = np.full((36, 2), 104400)
+        singles[5] = (3, 7)
+        table = attach_accidentals(
+            CountTable(np.full(36, 480), singles, acquisition_time=120.0,
+                       gate_rate=1.9e6)
+        )
+        expected = np.full(36, 104400**2 / (1.9e6 * 120.0))
+        expected[5] = 21 / (1.9e6 * 120.0)
+        assert np.array_equal(table.accidentals, expected)
 
     def test_attach_and_subtract(self):
         means = expected_rates(BELL, 8.0, 0.4)
         table = attach_accidentals(sample_counts(means, seed=4))
-        assert np.all(table.accidental_array() > 0)
+        assert np.all(table.accidentals > 0)
         corrected = subtract_accidentals(table)
         assert np.all(corrected >= 0)
         assert np.all(
-            corrected <= table.coincidence_array() - table.accidental_array()
-            + 1e-9
+            corrected <= table.coincidences - table.accidentals + 1e-9
         ) or np.any(corrected == 0)
+
+
+class TestCountTable:
+    def _arrays(self):
+        return np.arange(36), np.arange(72).reshape(36, 2)
+
+    def test_arrays_are_read_only_copies(self):
+        coincidences, singles = self._arrays()
+        table = CountTable(coincidences, singles)
+        coincidences[0] = 99
+        assert table.coincidences[0] == 0
+        assert table.coincidences.dtype == np.int64
+        assert table.singles.dtype == np.int64
+        assert np.array_equal(table.accidentals, np.zeros(36))
+        for array in (table.coincidences, table.singles, table.accidentals):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("coincidences", np.arange(35), "coincidences must be a"),
+         ("singles", np.arange(36), "singles must be a"),
+         ("accidentals", np.zeros((36, 1)), "accidentals must be a"),
+         ("coincidences", np.full(36, 1.5), "coincidences must be a"),
+         ("coincidences", np.full(36, -1), "coincidences must be finite and non"),
+         ("singles", np.full((36, 2), 2**63, dtype=np.uint64), "singles must be finite"),
+         ("accidentals", np.full(36, np.inf), "accidentals must be finite"),
+         ("accidentals", np.full(36, np.nan), "accidentals must be finite"),
+         ("acquisition_time", 0.0, "acquisition_time must be positive"),
+         ("gate_rate", np.inf, "gate_rate must be positive")],
+        ids=["short", "flat-singles", "accidentals-shape", "fractional",
+             "negative", "wrapped-uint64", "inf-accidentals", "nan-accidentals",
+             "zero-time", "inf-gate"],
+    )
+    def test_rejects(self, field, value, message):
+        coincidences, singles = self._arrays()
+        kwargs = {"coincidences": coincidences, "singles": singles, field: value}
+        with pytest.raises(DomainError, match=message):
+            CountTable(**kwargs)
+
+    def test_accidentals_that_overflow_are_rejected(self):
+        """A rate product that underflows makes s_a s_b / (g T) infinite."""
+        table = CountTable(*self._arrays(), acquisition_time=1e-200, gate_rate=1e-200)
+        with pytest.raises(DomainError, match="accidentals must be finite"):
+            attach_accidentals(table)
 
 
 class TestLinearInversion:
@@ -265,6 +319,19 @@ class TestVisibility:
         # max setting: 0.95*0.5 + b; its partner carries only b
         assert v == pytest.approx(0.95 * 0.5 / (0.95 * 0.5 + 0.025), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "block, expected",
+        [((5.0, 1.0, 5.0, 3.0), 4.0 / 6.0), ((1.0, 2.0, 4.0, 6.0), 0.2)],
+        ids=["tie-takes-first", "partner-in-same-row"],
+    )
+    def test_max_setting_and_partner(self, block, expected):
+        """The first maximum in (H,H), (H,V), (V,H), (V,V) order, against
+        the other analyzer-b setting of its row."""
+        values = np.zeros(36)
+        for pair, value in zip((("H", "H"), ("H", "V"), ("V", "H"), ("V", "V")), block):
+            values[PROJECTION_PAIRS.index(pair)] = value
+        assert visibility(values, "HV") == pytest.approx(expected, abs=1e-15)
+
     def test_undefined_for_empty_family(self):
         with pytest.raises(UndefinedVisibilityError):
             visibility(np.zeros(36), "RL")
@@ -302,7 +369,9 @@ class TestCountTableFile:
         path = tmp_path / "counts.txt"
         write_count_table(path, table)
         back = read_count_table(path)
-        assert back.records == table.records
+        assert np.array_equal(back.coincidences, table.coincidences)
+        assert np.array_equal(back.singles, table.singles)
+        assert np.array_equal(back.accidentals, np.zeros(36))
         assert back.acquisition_time == table.acquisition_time
         assert back.gate_rate == table.gate_rate
 
@@ -339,3 +408,53 @@ class TestCountTableFile:
         path.write_text("# 120 1.9e6\nH V 1 2\n")
         with pytest.raises(FormatError):
             read_count_table(path)
+
+    @pytest.mark.parametrize("count", ["-1", str(2**63), str(10**23)])
+    @pytest.mark.parametrize("column", [2, 3, 4])
+    def test_count_out_of_range_names_line(self, tmp_path, count, column):
+        path = tmp_path / "counts.txt"
+        write_count_table(path, self._table())
+        lines = path.read_text().splitlines()
+        parts = lines[7].split()
+        parts[column] = count
+        lines[7] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as err:
+            read_count_table(path)
+        assert str(err.value) == f"{path}:8: counts must lie in [0, 2^63 - 1]"
+
+    @settings(
+        deadline=None, max_examples=60,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        counts=st.lists(
+            st.one_of(st.sampled_from([0, 2**63 - 1]), st.integers(0, 2**63 - 1)),
+            min_size=108, max_size=108,
+        ),
+        order=st.permutations(range(36)),
+        aliased=st.lists(st.booleans(), min_size=36, max_size=36),
+        rates=st.tuples(
+            st.floats(min_value=1e-300, max_value=1e300),
+            st.floats(min_value=1e-300, max_value=1e300),
+        ),
+    )
+    def test_round_trip_any_counts(self, tmp_path, counts, order, aliased, rates):
+        """Every int64 count, the D+/D- aliases and any row order read back
+        to the same arrays."""
+        table = CountTable(
+            np.array(counts[:36]), np.array(counts[36:]).reshape(36, 2),
+            acquisition_time=rates[0], gate_rate=rates[1],
+        )
+        path = tmp_path / "counts.txt"
+        write_count_table(path, table)
+        header, *rows = path.read_text().splitlines()
+        alias = {"Dp": "D+", "Dm": "D-"}
+        for k in np.flatnonzero(aliased):
+            a, b, rest = rows[k].split(" ", 2)
+            rows[k] = " ".join((alias.get(a, a), alias.get(b, b), rest))
+        path.write_text("\n".join([header] + [rows[k] for k in order]) + "\n")
+        back = read_count_table(path)
+        assert np.array_equal(back.coincidences, table.coincidences)
+        assert np.array_equal(back.singles, table.singles)
+        assert (back.acquisition_time, back.gate_rate) == rates
