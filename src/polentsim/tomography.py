@@ -284,12 +284,12 @@ def visibility(corrected, family: str) -> float:
     if values.shape != (36,):
         raise DomainError("need 36 corrected projection values")
     rows = _FAMILIES[family]
-    block = values.reshape(6, 6)[rows, rows]
-    if not np.any(block):
+    quad = values.reshape(6, 6)[rows, rows].ravel().tolist()  # row-major 2 x 2
+    if not any(quad):
         raise UndefinedVisibilityError(f"family {family} has no counts")
-    row, col = divmod(int(np.argmax(block)), 2)
-    n_max, n_min = block[row, col], block[row, 1 - col]
-    return float((n_max - n_min) / (n_max + n_min))
+    k = quad.index(max(quad))
+    n_max, n_min = quad[k], quad[k ^ 1]  # k ^ 1: the same row's other column
+    return (n_max - n_min) / (n_max + n_min)
 
 
 def mix_background(rho, background: float) -> PolarizationDensityMatrix:
@@ -342,6 +342,16 @@ def read_count_table(path) -> CountTable:
                         raise FormatError(
                             f"{path}:{lineno}: acquisition time and gate rate "
                             "must be positive and finite"
+                        )
+                    # attach_accidentals' largest quotient: two singles of 2^63 - 1
+                    with np.errstate(all="ignore"):
+                        worst = np.float64(2**63 - 1) ** 2 / (
+                            gate_rate * acquisition_time
+                        )
+                    if not np.isfinite(worst):
+                        raise FormatError(
+                            f"{path}:{lineno}: acquisition time times gate rate "
+                            "is too small for finite accidentals"
                         )
                 continue
             parts = line.split()

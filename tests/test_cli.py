@@ -433,21 +433,28 @@ class TestTomoCommands:
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "counts",
-        [{3: 10**301, 4: 10**301}, {2: 10**23}],
-        ids=["singles-1e301", "coincidences-1e23"],
+        "row, fields, message",
+        [
+            (1, {3: 10**301, 4: 10**301}, "2: counts must lie in [0, 2^63 - 1]"),
+            (1, {2: 10**23}, "2: counts must lie in [0, 2^63 - 1]"),
+            (0, {1: 1e-200, 2: 1e-200},
+             "1: acquisition time times gate rate is too small for finite accidentals"),
+        ],
+        ids=["singles-1e301", "coincidences-1e23", "rates-1e-200"],
     )
     @pytest.mark.parametrize("command", ["tomo-reconstruct", "metrics"])
-    def test_count_beyond_int64_exit_code(
-        self, config_path, tmp_path, capsys, counts, command
+    def test_count_table_out_of_range_exit_code(
+        self, config_path, tmp_path, capsys, row, fields, message, command
     ):
+        """Counts beyond int64, and rates whose product underflows so far
+        that accidentals overflow, are data faults."""
         out = tmp_path / "out"
         run(["tomo", "simulate", "--config", config_path, "--out", str(out)])
         lines = (out / "counts.txt").read_text().splitlines()
-        parts = lines[1].split()
-        for column, count in counts.items():
-            parts[column] = str(count)
-        lines[1] = " ".join(parts)
+        parts = lines[row].split()
+        for column, value in fields.items():
+            parts[column] = str(value)
+        lines[row] = " ".join(parts)
         broken = tmp_path / "broken.txt"
         broken.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
@@ -459,9 +466,7 @@ class TestTomoCommands:
         assert run([*argv, "--counts", str(broken)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error[format]: {broken}:2: counts must lie in [0, 2^63 - 1]\n"
-        )
+        assert captured.err == f"error[format]: {broken}:{message}\n"
 
 
 class TestMetricsCommand:

@@ -423,6 +423,31 @@ class TestCountTableFile:
             read_count_table(path)
         assert str(err.value) == f"{path}:8: counts must lie in [0, 2^63 - 1]"
 
+    @pytest.mark.parametrize(
+        "header, accepted", [("4.74e-136 1e-135", True), ("4.73e-136 1e-135", False)]
+    )
+    def test_rates_too_small_for_accidentals_name_line(
+        self, tmp_path, header, accepted
+    ):
+        """A header is accepted only if two singles of 2^63 - 1 still give
+        finite accidentals: 2^126 / (g T) passes the largest double when
+        g T falls below 4.732e-271."""
+        path = tmp_path / "counts.txt"
+        top = CountTable(np.zeros(36, dtype=np.int64), np.full((36, 2), 2**63 - 1))
+        write_count_table(path, top)
+        rows = path.read_text().splitlines()[1:]
+        path.write_text("\n".join(["# " + header] + rows) + "\n")
+        if accepted:
+            accidentals = attach_accidentals(read_count_table(path)).accidentals
+            assert np.all(np.isfinite(accidentals)) and accidentals.max() > 1e307
+            return
+        with pytest.raises(FormatError) as err:
+            read_count_table(path)
+        assert str(err.value) == (
+            f"{path}:1: acquisition time times gate rate is too small for "
+            "finite accidentals"
+        )
+
     @settings(
         deadline=None, max_examples=60,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -434,9 +459,9 @@ class TestCountTableFile:
         ),
         order=st.permutations(range(36)),
         aliased=st.lists(st.booleans(), min_size=36, max_size=36),
-        rates=st.tuples(
-            st.floats(min_value=1e-300, max_value=1e300),
-            st.floats(min_value=1e-300, max_value=1e300),
+        rates=st.tuples(  # a product above 1e-270 keeps accidentals finite
+            st.floats(min_value=1e-135, max_value=1e300),
+            st.floats(min_value=1e-135, max_value=1e300),
         ),
     )
     def test_round_trip_any_counts(self, tmp_path, counts, order, aliased, rates):
