@@ -78,6 +78,20 @@ def _parse_delays(text: str) -> np.ndarray:
     return delays_fs * 1e-15
 
 
+def _check_alias_window(amps, taus, model=None) -> None:
+    """Reject delays with |tau - t0| >= pi / d_omega: on the grid, D(tau)
+    repeats with period 2 pi / d_omega, t0 the degradation offset."""
+    taus = np.atleast_1d(taus)
+    shifted = np.abs(taus - (model.time_offset if model is not None else 0.0))
+    worst = int(np.argmax(shifted))
+    limit = np.pi / amps.grid.d_omega
+    if shifted[worst] >= limit:
+        raise ConfigError(
+            "delay %.6g fs is beyond the grid's alias window |tau - t0| < %.6g fs;"
+            " raise grid_points" % (taus[worst] * 1e15, limit * 1e15)
+        )
+
+
 def _degradation(args, config: RunConfig):
     if getattr(args, "degrade", None) is not None:
         return _parse_degrade(args.degrade)
@@ -121,7 +135,9 @@ def cmd_sweep(args) -> int:
             config["tau_max_fs"] * 1e-15,
             config["tau_points"],
         )
-    sweep = jointstate.sweep_at(amps, taus, _degradation(args, config))
+    model = _degradation(args, config)
+    _check_alias_window(amps, taus, model)
+    sweep = jointstate.sweep_at(amps, taus, model)
     path = _out_path(config, "sweep.txt")
     jointstate.write_sweep(path, sweep)
     sys.stdout.write("sweep %s rows %d\n" % (path, sweep.tau.size))
@@ -131,7 +147,9 @@ def cmd_sweep(args) -> int:
 def _model_state(config: RunConfig, model) -> jointstate.PolarizationDensityMatrix:
     amps = _post_selected(config)
     alpha, beta = jointstate.diagonal_weights(amps)
-    d = jointstate.d_parameter(amps, config["delay_fs"] * 1e-15, model)
+    delay = config["delay_fs"] * 1e-15
+    _check_alias_window(amps, delay, model)
+    d = jointstate.d_parameter(amps, delay, model)
     rho = jointstate.density_matrix(alpha, beta, d)
     if config["background_b"] > 0:
         rho = tomography.mix_background(rho, config["background_b"])
@@ -171,12 +189,12 @@ def cmd_tomo_reconstruct(args) -> int:
     config = _load_config(args)
     table = tomography.read_count_table(args.counts)
     table = tomography.attach_accidentals(table)
-    corrected = tomography.subtract_accidentals(table)
-    rho = tomography.mle_reconstruct(corrected)
-    jointstate.write_density_matrix(_out_path(config, "rho.txt"), rho)
     reference = (
         jointstate.read_density_matrix(args.reference) if args.reference else None
     )
+    corrected = tomography.subtract_accidentals(table)
+    rho = tomography.mle_reconstruct(corrected)
+    jointstate.write_density_matrix(_out_path(config, "rho.txt"), rho)
     report = metrics.state_report(rho, reference=reference, table=table)
     for family in ("HV", "DD", "RL"):
         report += "visibility_%s %.12g\n" % (
@@ -227,13 +245,11 @@ def cmd_fit(args) -> int:
     config = _load_config(args)
     observations = _read_observations(args.observations)
     amps = _post_selected(config)
-    sweep = jointstate.delay_sweep(
-        amps,
-        config["tau_min_fs"] * 1e-15,
-        config["tau_max_fs"] * 1e-15,
-        config["tau_points"],
-    )
+    window = (config["tau_min_fs"] * 1e-15, config["tau_max_fs"] * 1e-15)
+    _check_alias_window(amps, window)
+    sweep = jointstate.delay_sweep(amps, *window, config["tau_points"])
     model = jointstate.fit_degradation(sweep, observations)
+    _check_alias_window(amps, [tau for tau, _ in observations], model)
     sys.stdout.write("amplitude_scale %.12g\n" % model.amplitude_scale)
     sys.stdout.write("time_offset_fs %.12g\n" % (model.time_offset * 1e15))
     for tau, observed in observations:

@@ -214,43 +214,31 @@ def density_matrix(alpha: float, beta: float, d: complex) -> PolarizationDensity
 
 @dataclass(frozen=True)
 class DelaySweep:
-    """Delay-resolved record of (tau, D, alpha, beta, purity, phase)."""
+    """Coherence D at strictly increasing delays tau, with the diagonal
+    weights alpha and beta; purity and phase are derived from them."""
 
     tau: np.ndarray
     d: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    purity: np.ndarray
-    phase: np.ndarray
+    alpha: float
+    beta: float
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        if np.any(np.diff(tau) <= 0):
+        if np.any(np.diff(self.tau) <= 0):
             raise DomainError("sweep delays must be strictly increasing")
-        expected = self.alpha**2 + self.beta**2 + 2.0 * np.abs(self.d) ** 2
-        if np.max(np.abs(self.purity - expected)) > 1e-12:
-            raise DomainError("purity identity violated in sweep record")
 
+    @cached_property
+    def purity(self) -> np.ndarray:
+        """alpha^2 + beta^2 + 2 |D|^2 at each delay."""
+        alpha, beta = self.alpha, self.beta
+        # alpha * alpha, as NumPy squares an array; a float's ** calls pow
+        return alpha * alpha + beta * beta + 2.0 * np.abs(self.d) ** 2
 
-def _anchored_phase(d: np.ndarray) -> np.ndarray:
-    """Unwrapped arg(D), anchored to (-pi, pi] at the sample of max |D|."""
-    phase = np.unwrap(np.angle(d))
-    anchor = phase[int(np.argmax(np.abs(d)))]
-    return phase - 2.0 * np.pi * np.round(anchor / (2.0 * np.pi))
-
-
-def _sweep_from_values(tau, d, alpha, beta) -> DelaySweep:
-    d = np.asarray(d, dtype=complex)
-    alpha_arr = np.full(d.shape, alpha, dtype=float)
-    beta_arr = np.full(d.shape, beta, dtype=float)
-    return DelaySweep(
-        tau=np.asarray(tau, dtype=float),
-        d=d,
-        alpha=alpha_arr,
-        beta=beta_arr,
-        purity=alpha_arr**2 + beta_arr**2 + 2.0 * np.abs(d) ** 2,
-        phase=_anchored_phase(d),
-    )
+    @cached_property
+    def phase(self) -> np.ndarray:
+        """Unwrapped arg(D), anchored to (-pi, pi] at the delay of max |D|."""
+        phase = np.unwrap(np.angle(self.d))
+        anchor = phase[int(np.argmax(np.abs(self.d)))]
+        return phase - 2.0 * np.pi * np.round(anchor / (2.0 * np.pi))
 
 
 def sweep_at(
@@ -261,8 +249,8 @@ def sweep_at(
     Listed and uniform sweeps share this record, anchored unwrapped phase
     included.
     """
-    alpha, beta = diagonal_weights(amps)
-    return _sweep_from_values(tau, _coherence(amps, tau, model), alpha, beta)
+    tau = np.asarray(tau, dtype=float)
+    return DelaySweep(tau, _coherence(amps, tau, model), amps.alpha, amps.beta)
 
 
 def uniform_delays(tau_min: float, tau_max: float, n: int) -> np.ndarray:
@@ -313,10 +301,7 @@ def apply_degradation(sweep: DelaySweep, model: DegradationModel):
             "time offset moves the whole sweep support outside the window"
         )
     d = model.amplitude_scale * _interp_complex(shifted, sweep.tau, sweep.d)
-    return (
-        _sweep_from_values(sweep.tau, d, float(sweep.alpha[0]), float(sweep.beta[0])),
-        warning,
-    )
+    return DelaySweep(sweep.tau, d, sweep.alpha, sweep.beta), warning
 
 
 #: Step (s) of the offset scan of :func:`fit_degradation`.
@@ -363,21 +348,13 @@ def fit_degradation(sweep: DelaySweep, observations) -> DegradationModel:
 
 def write_sweep(path, sweep: DelaySweep) -> None:
     """Write the plot-ready sweep table (delays in fs at the boundary)."""
+    rows = zip(sweep.tau * 1e15, sweep.d, sweep.purity, sweep.phase)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# tau_fs re_D im_D abs_D alpha beta purity phase_rad\n")
-        for k in range(sweep.tau.size):
+        for tau_fs, d, purity, phase in rows:
             fh.write(
                 "%.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g\n"
-                % (
-                    sweep.tau[k] * 1e15,
-                    sweep.d[k].real,
-                    sweep.d[k].imag,
-                    abs(sweep.d[k]),
-                    sweep.alpha[k],
-                    sweep.beta[k],
-                    sweep.purity[k],
-                    sweep.phase[k],
-                )
+                % (tau_fs, d.real, d.imag, abs(d), sweep.alpha, sweep.beta, purity, phase)
             )
 
 
@@ -415,4 +392,7 @@ def read_density_matrix(path) -> PolarizationDensityMatrix:
             seen[r, c] = True
     if not seen.all():
         raise FormatError(f"{path}: missing matrix entries")
-    return PolarizationDensityMatrix(rho)
+    try:
+        return PolarizationDensityMatrix(rho)
+    except InvalidStateError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -230,14 +230,6 @@ class JsaGrid:
         """Riemann sum of |f|^2 over the grid."""
         return _riemann_power(self.amplitude, self.grid.cell)
 
-    @classmethod
-    def normalized(cls, grid, amplitude, discarded_fraction=0.0):
-        amplitude = np.asarray(amplitude, dtype=complex)
-        total = _riemann_power(amplitude, grid.cell)
-        if total <= 0:
-            raise EmptySupportError("amplitude has zero norm on this grid")
-        return cls(grid, amplitude / np.sqrt(total), discarded_fraction)
-
 
 def _gaussian(u):
     """Pump amplitude at detuning u, in units of the intensity FWHM."""

@@ -1,11 +1,29 @@
 """Per-cell oracles of the JSA model for the tests: the pump envelope and
 the phase-matching factor evaluated on frequency arrays, cell by cell.
-``build_jsa`` evaluates the same model band by band from axis vectors."""
+``build_jsa`` evaluates the same model band by band from axis vectors.
+``normalized_jsa`` makes a JSA of any amplitude array."""
 
 import numpy as np
 
-from polentsim.errors import DomainError
-from polentsim.spectral import C, PdcModel, _gaussian, _mismatch_terms, _sinc
+from polentsim.errors import DomainError, EmptySupportError
+from polentsim.spectral import (
+    C,
+    JsaGrid,
+    PdcModel,
+    _gaussian,
+    _mismatch_terms,
+    _riemann_power,
+    _sinc,
+)
+
+
+def normalized_jsa(grid, amplitude) -> JsaGrid:
+    """``amplitude`` scaled to unit Riemann norm on ``grid``."""
+    amplitude = np.asarray(amplitude, dtype=complex)
+    total = _riemann_power(amplitude, grid.cell)
+    if total <= 0:
+        raise EmptySupportError("amplitude has zero norm on this grid")
+    return JsaGrid(grid, amplitude / np.sqrt(total))
 
 
 def pump_envelope(model: PdcModel, omega_sum):

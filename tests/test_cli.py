@@ -300,6 +300,55 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+class TestAliasWindow:
+    """On the 256-point grid D(tau) repeats every 2 pi / d_omega = 50.3 ps,
+    so a delay with |tau - t0| >= 25.2 ps is rejected, not evaluated."""
+
+    OBSERVATIONS = "0 0.3 0.1\n25.9 0.35 0.05\n"
+
+    @pytest.mark.parametrize(
+        "argv, config_line, observations, delay",
+        [(["sweep"], "tau_max_fs = 30000", None, "30000"),
+         (["sweep", "--delay-fs=0,-26000"], "", None, "-26000"),
+         (["sweep", "--delay-fs=0,20000", "--degrade", "0.8,-6000"], "", None,
+          "20000"),
+         (["tomo", "simulate"], "delay_fs = 25200", None, "25200"),
+         (["tomo", "simulate", "--degrade", "0.8,-5000"], "delay_fs = 20200",
+          None, "20200"),
+         (["fit"], "tau_min_fs = -26000", OBSERVATIONS, "-26000"),
+         (["fit"], "", OBSERVATIONS + "30000 0 0\n", "30000")],
+        ids=["sweep-window", "sweep-listed", "sweep-degraded", "simulate",
+             "simulate-degraded", "fit-window", "fit-observation"],
+    )
+    def test_delay_beyond_alias_window_exit_code(
+        self, tmp_path, capsys, argv, config_line, observations, delay
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT + config_line + "\n")
+        out = tmp_path / "out"
+        argv = [*argv, "--config", str(cfg), "--out", str(out)]
+        if observations is not None:
+            obs = tmp_path / "obs.txt"
+            obs.write_text(observations)
+            argv += ["--observations", str(obs)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[config]: delay {delay} fs is beyond the grid's alias window"
+            " |tau - t0| < 25152.8 fs; raise grid_points\n"
+        )
+        assert not out.exists()
+
+    def test_delays_inside_the_window_run(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        assert run(
+            ["sweep", "--config", config_path, "--out", str(out),
+             "--delay-fs=-25150,25150"]
+        ) == 0
+        assert np.loadtxt(out / "sweep.txt").shape == (2, 8)
+
+
 class TestTomoCommands:
     def test_simulate_then_reconstruct(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -505,6 +554,51 @@ class TestMetricsCommand:
         assert captured.out == ""
         assert captured.err.startswith("error[format]:")
         assert len(captured.err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({(0, 1): 0.1}, "density matrix is not Hermitian"),
+         ({(0, 0): 0.5}, "density matrix trace is not 1"),
+         ({(1, 2): 0.6, (2, 1): 0.6},
+          "density matrix is not positive semidefinite")],
+        ids=["non-hermitian", "trace", "negative-eigenvalue"],
+    )
+    @pytest.mark.parametrize(
+        "command", ["metrics-matrix", "metrics-reference", "reconstruct-reference"]
+    )
+    def test_non_state_matrix_file_exit_code(
+        self, config_path, tmp_path, capsys, changes, message, command
+    ):
+        """A file that parses but holds no physical state is malformed
+        data: one error line naming the file, exit 4."""
+        out = tmp_path / "out"
+        run(["tomo", "simulate", "--config", config_path, "--out", str(out)])
+        good = str(out / "model_matrix.txt")
+        elements = np.diag([0.0, 0.5, 0.5, 0.0])
+        for index, value in changes.items():
+            elements[index] = value
+        bad = tmp_path / "bad.txt"
+        bad.write_text(
+            "".join(
+                "%d %d %.17g 0\n" % (*index, v)
+                for index, v in np.ndenumerate(elements)
+            )
+        )
+        capsys.readouterr()
+        argv = {
+            "metrics-matrix": ["metrics", "--matrix", str(bad)],
+            "metrics-reference": ["metrics", "--matrix", good,
+                                  "--reference", str(bad)],
+            "reconstruct-reference": [
+                "tomo", "reconstruct", "--config", config_path, "--out", str(out),
+                "--counts", str(out / "counts.txt"), "--reference", str(bad)],
+        }[command]
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[format]: {bad}: {message}\n"
+        assert not (out / "rho.txt").exists()
 
 
 class TestFitCommand:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polentsim import calibrate, jointstate
+from polentsim import calibrate, jointstate, metrics
 from polentsim.calibrate import fit_edge_split, split_edges
 from polentsim.dichroic import SplitterResponse, sample_on_grid
 from polentsim.errors import (
@@ -42,10 +42,10 @@ from polentsim.jointstate import (
 from polentsim.spectral import (
     _BAND_VALUES,
     FrequencyGrid,
-    JsaGrid,
     PdcModel,
     build_jsa,
 )
+from spectral_oracles import normalized_jsa
 from state_oracles import cross_amplitudes
 
 MODEL = PdcModel()
@@ -58,7 +58,7 @@ SPLIT = SplitterResponse(
 def random_jsa(rng, n=8):
     grid = FrequencyGrid.centered(1535.2e-9, 40e-9, n=n)
     amp = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return JsaGrid.normalized(grid, amp)
+    return normalized_jsa(grid, amp)
 
 
 def random_splitter(rng):
@@ -231,8 +231,7 @@ class TestDelaySweep:
         direct = np.array([0.8 * direct_coherence(amps, t - 20e-15) for t in tau])
         assert np.max(np.abs(sweep.d - direct)) < 1e-12
         assert d_parameter(amps, tau[2], model) == pytest.approx(sweep.d[2], abs=1e-15)
-        alpha, beta = diagonal_weights(amps)
-        assert np.all(sweep.alpha == alpha) and np.all(sweep.beta == beta)
+        assert (sweep.alpha, sweep.beta) == diagonal_weights(amps)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 300])
     def test_engine_matches_direct_double_sum(self, n):
@@ -259,15 +258,31 @@ class TestDelaySweep:
         direct = np.array([0.7 * direct_coherence(amps, t + 3e-14) for t in tau])
         assert np.max(np.abs(sweep.d - direct)) < 1e-12
 
+    def test_coherence_repeats_with_the_grid_period(self):
+        """The discrete sum D(tau) has period 2 pi / d_omega, so only
+        |tau| < pi / d_omega is the model's coherence."""
+        amps = post_select(build_jsa(MODEL, GRID), SPLIT)
+        tau = np.array([-25.9e-15, 0.0, 25.9e-15])
+        period = 2 * np.pi / GRID.d_omega
+        repeat = _coherence(amps, tau + period)
+        assert np.max(np.abs(repeat - _coherence(amps, tau))) < 1e-9
+        assert abs(d_parameter(amps, 10e-12)) < 1e-3
+
     def test_purity_identity_rows(self):
+        """Each row's purity is Tr(rho^2) of its two-term state."""
         amps = post_select(build_jsa(MODEL, GRID), SPLIT)
         sweep = delay_sweep(amps, -400e-15, 400e-15, 101)
-        expected = sweep.alpha**2 + sweep.beta**2 + 2 * np.abs(sweep.d) ** 2
-        assert np.array_equal(sweep.purity, expected)
+        expected = [
+            metrics.purity(density_matrix(sweep.alpha, sweep.beta, d))
+            for d in sweep.d
+        ]
+        assert np.max(np.abs(sweep.purity - expected)) < 1e-12
 
     def test_phase_is_unwrapped_and_anchored(self):
+        """Unwrapped from -400 fs, the phase reaches about -4 pi at the
+        peak; the anchor moves it back into (-pi, pi]."""
         amps = post_select(build_jsa(MODEL, GRID), SPLIT)
-        sweep = delay_sweep(amps, -100e-15, 100e-15, 401)
+        sweep = delay_sweep(amps, -400e-15, 400e-15, 801)
         steps = np.abs(np.diff(sweep.phase))
         assert steps.max() < np.pi  # no 2-pi jumps
         anchor = sweep.phase[np.argmax(np.abs(sweep.d))]
@@ -431,11 +446,7 @@ class TestFitDegradationOracle:
         assert fit_degradation(sweep, obs) == fit_degradation_loop(sweep, obs)
         # a coarser scan over the offsets of a -100 to +150 fs sweep
         window = slice(300, 551)
-        part = DelaySweep(
-            tau=sweep.tau[window], d=sweep.d[window], alpha=sweep.alpha[window],
-            beta=sweep.beta[window], purity=sweep.purity[window],
-            phase=sweep.phase[window],
-        )
+        part = DelaySweep(sweep.tau[window], sweep.d[window], sweep.alpha, sweep.beta)
         monkeypatch.setattr(jointstate, "_OFFSET_RESOLUTION", 1e-15)
         assert fit_degradation(part, obs) == fit_degradation_loop(part, obs)
 
@@ -446,10 +457,7 @@ class TestFitDegradationOracle:
         offset."""
         tau = np.linspace(-10e-15, 10e-15, 21)
         d = np.where(tau < 0, 0.0, 0.4 + 0.1j)
-        sweep = DelaySweep(
-            tau=tau, d=d, alpha=np.full(21, 0.5), beta=np.full(21, 0.5),
-            purity=0.5 + 2 * np.abs(d) ** 2, phase=np.angle(d),
-        )
+        sweep = DelaySweep(tau, d, 0.5, 0.5)
         for obs in (
             [(1e-15, 0.2 + 0.05j), (2e-15, 0.2 + 0.05j)],
             [(1e-15, -0.2 - 0.05j), (6e-15, 0.3 + 0.0j)],
@@ -537,19 +545,8 @@ class TestEdgeSplit:
 class TestSweepRecordInvariants:
     def test_rejects_non_monotone_delays(self):
         tau = np.array([0.0, 1e-15, 0.5e-15])
-        d = np.zeros(3, dtype=complex)
-        a = np.full(3, 0.5)
         with pytest.raises(DomainError):
-            DelaySweep(tau=tau, d=d, alpha=a, beta=a, purity=2 * a**2,
-                       phase=np.zeros(3))
-
-    def test_rejects_broken_purity_identity(self):
-        tau = np.array([0.0, 1e-15])
-        d = np.zeros(2, dtype=complex)
-        a = np.full(2, 0.5)
-        with pytest.raises(DomainError):
-            DelaySweep(tau=tau, d=d, alpha=a, beta=a,
-                       purity=np.full(2, 0.9), phase=np.zeros(2))
+            DelaySweep(tau, np.zeros(3, dtype=complex), 0.5, 0.5)
 
 
 class TestFiles:

@@ -115,17 +115,37 @@ def _used_names(tree) -> set:
     return used
 
 
+def _public_definitions(tree):
+    """(name, label) of each public top-level function and class, and of
+    each public method and property of those classes."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+            yield top.name, top.name
+            for node in top.body if isinstance(top, ast.ClassDef) else ():
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield node.name, f"{top.name}.{node.name}"
+
+
 def test_exported_names_have_a_caller():
-    """Every name the package exports is used by the package itself (outside
-    its definition and ``__init__``) or by the benchmark; a name that only
-    the tests call belongs in the tests."""
+    """Every public function, class, method and property of the package is
+    used by the package itself (outside its own top-level definition) or by
+    the benchmark; a name that only the tests call belongs in the tests."""
     root = Path(__file__).resolve().parents[1]
-    sources = [
+    package = [
         path
         for path in sorted((root / "src" / "polentsim").glob("*.py"))
         if path.name != "__init__.py"
-    ] + sorted((root / "perfbench").rglob("*.py"))
+    ]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package}
     used = set()
-    for path in sources:
+    for tree in trees.values():
+        used |= _used_names(tree)
+    for path in sorted((root / "perfbench").rglob("*.py")):
         used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(set(polentsim.__all__) - used) == []
+    unused = [
+        f"{path.name}: {label}"
+        for path, tree in trees.items()
+        for name, label in _public_definitions(tree)
+        if name not in used
+    ]
+    assert unused == []

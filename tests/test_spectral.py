@@ -32,7 +32,12 @@ from polentsim.spectral import (
     write_jsa,
 )
 from polentsim.textfloat import parse_pairs
-from spectral_oracles import phase_matching, phase_mismatch, pump_envelope
+from spectral_oracles import (
+    normalized_jsa,
+    phase_matching,
+    phase_mismatch,
+    pump_envelope,
+)
 
 MODEL = PdcModel()
 GRID = FrequencyGrid.centered(1535.2e-9, 40e-9, n=256)
@@ -308,7 +313,7 @@ class TestAntidiagonalMarginal:
         grid = FrequencyGrid(axis[20], GRID.d_omega, 12)  # 12 x 12, off-centre
         rng = np.random.default_rng(3)
         amp = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        jsa = JsaGrid.normalized(grid, amp)
+        jsa = normalized_jsa(grid, amp)
         sums, density = antidiagonal_marginal(jsa)
         expected = np.zeros(12 + 12 - 1)
         for j in range(12):
@@ -329,7 +334,7 @@ class TestAntidiagonalMarginal:
         rows = spectral._BAND_VALUES // grid.n
         assert rows < grid.n < 2 * rows
         rng = np.random.default_rng(8)
-        jsa = JsaGrid.normalized(
+        jsa = normalized_jsa(
             grid, rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
         )
         _, density = antidiagonal_marginal(jsa)
@@ -347,7 +352,7 @@ class TestApplyBandpass:
         fall between grid points and cut the axis at both ends."""
         grid = FrequencyGrid(GRID.axis[30], GRID.d_omega, 200)
         rng = np.random.default_rng(9)
-        jsa = JsaGrid.normalized(
+        jsa = normalized_jsa(
             grid, rng.normal(size=(200, 200)) + 1j * rng.normal(size=(200, 200))
         )
         center, width = 1536.1e-9, 21.7e-9
@@ -466,12 +471,12 @@ class TestJsaGridInvariant:
 
     def test_normalized_factory(self):
         amp = np.random.default_rng(0).normal(size=(GRID.n, GRID.n))
-        jsa = JsaGrid.normalized(GRID, amp)
+        jsa = normalized_jsa(GRID, amp)
         assert jsa.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_amplitude_rejected(self):
         with pytest.raises(EmptySupportError):
-            JsaGrid.normalized(GRID, np.zeros((GRID.n, GRID.n)))
+            normalized_jsa(GRID, np.zeros((GRID.n, GRID.n)))
 
 
 class TestJsaFile:
@@ -631,7 +636,7 @@ class TestJsaFile:
         by hand over a valid table."""
         amp = np.random.default_rng(1).normal(size=(GRID.n, GRID.n))
         path = tmp_path / "jsa.txt"
-        write_jsa(path, JsaGrid.normalized(GRID, amp))
+        write_jsa(path, normalized_jsa(GRID, amp))
         header, table = path.read_text().split("\n", 1)
         fields = header.split()[1:]
         fields[field] = value
