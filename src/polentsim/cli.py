@@ -249,7 +249,6 @@ def cmd_fit(args) -> int:
     _check_alias_window(amps, window)
     sweep = jointstate.delay_sweep(amps, *window, config["tau_points"])
     model = jointstate.fit_degradation(sweep, observations)
-    _check_alias_window(amps, [tau for tau, _ in observations], model)
     sys.stdout.write("amplitude_scale %.12g\n" % model.amplitude_scale)
     sys.stdout.write("time_offset_fs %.12g\n" % (model.time_offset * 1e15))
     for tau, observed in observations:

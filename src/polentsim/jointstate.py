@@ -313,7 +313,9 @@ def fit_degradation(sweep: DelaySweep, observations) -> DegradationModel:
 
     ``observations`` is a sequence of (tau, D_measured).  The offset is
     scanned in steps of _OFFSET_RESOLUTION over plus or minus half the
-    sweep window; the optimal real scale per offset is closed-form.
+    sweep window; the optimal real scale per offset is closed-form.  Only
+    offsets that shift every observation into the sweep window are
+    scanned, since outside it the sweep holds its boundary value.
     """
     obs = list(observations)
     if len(obs) < 2:
@@ -327,7 +329,17 @@ def fit_degradation(sweep: DelaySweep, observations) -> DegradationModel:
     half_span = (sweep.tau[-1] - sweep.tau[0]) / 2.0
     offsets = np.arange(-half_span, half_span, _OFFSET_RESOLUTION)
     # one row per offset; each row repeats the arithmetic of a scalar scan
-    theory = _interp_complex(obs_tau - offsets[:, None], sweep.tau, sweep.d)
+    shifted = obs_tau - offsets[:, None]
+    inside = np.all((shifted >= sweep.tau[0]) & (shifted <= sweep.tau[-1]), axis=1)
+    if not inside.any():
+        raise DomainError(
+            "observations at %.6g to %.6g fs: no time offset within +-%.6g fs"
+            " shifts them all into the sweep window %.6g to %.6g fs"
+            % (obs_tau.min() * 1e15, obs_tau.max() * 1e15, half_span * 1e15,
+               sweep.tau[0] * 1e15, sweep.tau[-1] * 1e15)
+        )
+    offsets = offsets[inside]
+    theory = _interp_complex(shifted[inside], sweep.tau, sweep.d)
     denom = np.sum(np.abs(theory) ** 2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.real(np.sum(np.conj(theory) * obs_d, axis=1)) / denom

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -441,29 +442,63 @@ def marginal_fwhm(axis, density) -> float:
 _WRITE_BLOCK_VALUES = 1 << 13
 
 
+def _sidecar(path) -> str:
+    """The binary sidecar :func:`write_jsa` writes beside the table."""
+    return os.fspath(path) + ".npz"
+
+
 def write_jsa(path, jsa: JsaGrid) -> None:
-    """Write the line-oriented JSA table (SI units, full precision).
+    """Write the line-oriented JSA table (SI units, full precision), then
+    its binary sidecar ``path + ".npz"``.
 
     Each value is written as ``%.17g`` writes it, by :func:`format_pairs`.
+    The sidecar is an uncompressed ``.npz`` archive of two arrays, laid
+    out as ``np.savez`` lays it out: the complex128 C-order ``amplitude``
+    and ``sha256``, the 32-byte SHA-256 of the table's bytes followed by
+    the amplitude's bytes.  Each block of text is hashed as it is written,
+    so the text is made once.
     """
+    import hashlib  # not at module import: it adds milliseconds to start-up
+
     grid = jsa.grid
+    amplitude = np.ascontiguousarray(jsa.amplitude)
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(
-            b"# %d %d %.17g %.17g %.17g %.17g\n"
-            % (grid.n, grid.n, grid.start, grid.d_omega, grid.start, grid.d_omega)
+        header = b"# %d %d %.17g %.17g %.17g %.17g\n" % (
+            grid.n, grid.n, grid.start, grid.d_omega, grid.start, grid.d_omega
         )
-        values = np.ascontiguousarray(jsa.amplitude).view(float)
+        digest.update(header)
+        fh.write(header)
+        values = amplitude.view(float)
         rows = max(1, _WRITE_BLOCK_VALUES // values.shape[1])
         for start in range(0, values.shape[0], rows):
-            fh.write(format_pairs(values[start : start + rows]))
+            text = format_pairs(values[start : start + rows])
+            digest.update(text)
+            fh.write(text)
+    digest.update(amplitude)
+    sha256 = np.frombuffer(digest.digest(), dtype=np.uint8)
+    # the members np.savez writes, but each array's bytes are written from
+    # the array itself: np.savez would first copy the whole amplitude
+    with zipfile.ZipFile(_sidecar(path), "w") as archive:
+        for name, array in (("amplitude", amplitude), ("sha256", sha256)):
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array)
+                )
+                member.write(array.reshape(-1).view(np.uint8))
 
 
-#: Bytes of a JSA table read and parsed at a time.
+#: Bytes of a JSA table read and parsed, or hashed, at a time.
 _TABLE_CHUNK = 1 << 19
 
 
 def read_jsa(path) -> JsaGrid:
-    """Read a JSA table written by :func:`write_jsa`."""
+    """Read a JSA table written by :func:`write_jsa`.
+
+    The amplitude comes from the table's sidecar when the sidecar's digest
+    matches the table's bytes and that amplitude; otherwise the table's
+    text is parsed.  Both give the same bits and pass the same checks.
+    """
     with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
         header = fh.readline()
         if not header.startswith("#"):
@@ -480,7 +515,9 @@ def read_jsa(path) -> JsaGrid:
             raise FormatError(f"JSA header: {exc}") from exc
         if (n_i, i_min, i_step) != (n_s, s_min, s_step):
             raise FormatError("JSA signal and idler axes must be identical")
-        values = _read_pairs(path, header, n_s * n_s)
+        values = _cached_pairs(path, n_s)
+        if values is None:
+            values = _read_pairs(path, header, n_s * n_s)
         if values is None:
             try:
                 values = np.loadtxt(fh, dtype=float, ndmin=2)
@@ -498,6 +535,40 @@ def read_jsa(path) -> JsaGrid:
         return JsaGrid(grid, amp)
     except DomainError as exc:
         raise FormatError(f"JSA table: {exc}") from exc
+
+
+def _cached_pairs(path, n):
+    """The (re, im) rows of the amplitude held in the sidecar of the table
+    at ``path``, or None unless the sidecar holds an n x n complex128
+    C-order amplitude and the SHA-256 of the table's bytes and of that
+    amplitude."""
+    import hashlib  # not at module import: it adds milliseconds to start-up
+
+    try:
+        with np.lib.npyio.NpzFile(_sidecar(path), allow_pickle=False) as sidecar:
+            amplitude, digest = sidecar["amplitude"], sidecar["sha256"]
+    # what a sidecar write_jsa did not write raises: a missing file; a
+    # damaged archive (an unsupported zip version, method or flag is a
+    # RuntimeError); a missing member; a damaged .npy header or an object
+    # array, which is a pickle; a header declaring an array too large to
+    # allocate
+    except (OSError, EOFError, KeyError, ValueError, RuntimeError, MemoryError,
+            zipfile.BadZipFile):
+        return None
+    if not (
+        amplitude.dtype == np.complex128
+        and amplitude.shape == (n, n)
+        and amplitude.flags.c_contiguous
+    ):
+        return None
+    expected = hashlib.sha256()
+    with open(path, "rb") as raw:
+        while chunk := raw.read(_TABLE_CHUNK):
+            expected.update(chunk)
+    expected.update(amplitude)
+    if digest.tobytes() != expected.digest():
+        return None
+    return amplitude.view(float).reshape(n * n, 2)
 
 
 def _read_pairs(path, header, rows):

@@ -300,6 +300,14 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+def beyond(delay):
+    """The alias-window error for ``delay`` on the 256-point grid."""
+    return (
+        f"delay {delay} fs is beyond the grid's alias window"
+        " |tau - t0| < 25152.8 fs; raise grid_points"
+    )
+
+
 class TestAliasWindow:
     """On the 256-point grid D(tau) repeats every 2 pi / d_omega = 50.3 ps,
     so a delay with |tau - t0| >= 25.2 ps is rejected, not evaluated."""
@@ -307,21 +315,24 @@ class TestAliasWindow:
     OBSERVATIONS = "0 0.3 0.1\n25.9 0.35 0.05\n"
 
     @pytest.mark.parametrize(
-        "argv, config_line, observations, delay",
-        [(["sweep"], "tau_max_fs = 30000", None, "30000"),
-         (["sweep", "--delay-fs=0,-26000"], "", None, "-26000"),
+        "argv, config_line, observations, message",
+        [(["sweep"], "tau_max_fs = 30000", None, beyond("30000")),
+         (["sweep", "--delay-fs=0,-26000"], "", None, beyond("-26000")),
          (["sweep", "--delay-fs=0,20000", "--degrade", "0.8,-6000"], "", None,
-          "20000"),
-         (["tomo", "simulate"], "delay_fs = 25200", None, "25200"),
+          beyond("20000")),
+         (["tomo", "simulate"], "delay_fs = 25200", None, beyond("25200")),
          (["tomo", "simulate", "--degrade", "0.8,-5000"], "delay_fs = 20200",
-          None, "20200"),
-         (["fit"], "tau_min_fs = -26000", OBSERVATIONS, "-26000"),
-         (["fit"], "", OBSERVATIONS + "30000 0 0\n", "30000")],
+          None, beyond("20200")),
+         (["fit"], "tau_min_fs = -26000", OBSERVATIONS, beyond("-26000")),
+         # the fit rejects it first: no offset puts it in the sweep window
+         (["fit"], "", OBSERVATIONS + "30000 0 0\n",
+          "observations at 0 to 30000 fs: no time offset within +-400 fs"
+          " shifts them all into the sweep window -400 to 400 fs")],
         ids=["sweep-window", "sweep-listed", "sweep-degraded", "simulate",
              "simulate-degraded", "fit-window", "fit-observation"],
     )
     def test_delay_beyond_alias_window_exit_code(
-        self, tmp_path, capsys, argv, config_line, observations, delay
+        self, tmp_path, capsys, argv, config_line, observations, message
     ):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(CONFIG_TEXT + config_line + "\n")
@@ -334,10 +345,7 @@ class TestAliasWindow:
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error[config]: delay {delay} fs is beyond the grid's alias window"
-            " |tau - t0| < 25152.8 fs; raise grid_points\n"
-        )
+        assert captured.err == f"error[config]: {message}\n"
         assert not out.exists()
 
     def test_delays_inside_the_window_run(self, config_path, tmp_path):
@@ -602,6 +610,28 @@ class TestMetricsCommand:
 
 
 class TestFitCommand:
+    @pytest.mark.parametrize(
+        "observations, span",
+        [("0 0.3 0.1\n25.9 0.35 0.05\n3000 0.2 0\n", "0 to 3000"),
+         ("900 0.3 0.1\n910 0.35 0.05\n", "900 to 910")],
+        ids=["too-wide", "too-far"],
+    )
+    def test_observations_outside_the_sweep_window_exit_code(
+        self, config_path, tmp_path, capsys, observations, span
+    ):
+        """Observations inside the alias window that no scanned offset
+        shifts into the -400 to 400 fs sweep window end in one error line;
+        they are not fitted to the sweep's boundary values."""
+        obs = tmp_path / "obs.txt"
+        obs.write_text(observations)
+        assert run(["fit", "--config", config_path, "--observations", str(obs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[config]: observations at {span} fs: no time offset within"
+            " +-400 fs shifts them all into the sweep window -400 to 400 fs\n"
+        )
+
     def test_recovers_synthetic_model(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         run(

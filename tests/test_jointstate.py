@@ -406,15 +406,21 @@ class TestDegradation:
 
 def fit_degradation_loop(sweep, observations):
     """Offset-by-offset scan: the reference for the vectorized fit, on the
-    same offsets (the module's resolution over half the sweep window)."""
+    same offsets (the module's resolution over half the sweep window),
+    skipping each offset that shifts an observation out of the window."""
     obs = list(observations)
     obs_tau = np.array([t for t, _ in obs], dtype=float)
     obs_d = np.array([d for _, d in obs], dtype=complex)
     half_span = (sweep.tau[-1] - sweep.tau[0]) / 2.0
     offsets = np.arange(-half_span, half_span, jointstate._OFFSET_RESOLUTION)
     best = None
+    inside = False
     for t0 in offsets:
-        theory = _interp_complex(obs_tau - t0, sweep.tau, sweep.d)
+        shifted = obs_tau - t0
+        if shifted.min() < sweep.tau[0] or shifted.max() > sweep.tau[-1]:
+            continue
+        inside = True
+        theory = _interp_complex(shifted, sweep.tau, sweep.d)
         denom = float(np.sum(np.abs(theory) ** 2))
         if denom == 0.0:
             continue
@@ -425,9 +431,19 @@ def fit_degradation_loop(sweep, observations):
         residual = float(np.sum(np.abs(scale * theory - obs_d) ** 2))
         if best is None or residual < best[0]:
             best = (residual, scale, float(t0))
+    if not inside:
+        raise DomainError("no offset shifts every observation into the window")
     if best is None:
         raise UnidentifiableFitError("no admissible (scale, offset) found")
     return DegradationModel(amplitude_scale=best[1], time_offset=best[2])
+
+
+def fit_outcome(fit, sweep, observations):
+    """The fitted model, or the type of the error the fit raises."""
+    try:
+        return fit(sweep, observations)
+    except (DomainError, UnidentifiableFitError) as exc:
+        return type(exc)
 
 
 class TestFitDegradationOracle:
@@ -444,11 +460,15 @@ class TestFitDegradationOracle:
         d = 0.3 * (rng.normal(size=count) + 1j * rng.normal(size=count))
         obs = list(zip(tau, d))
         assert fit_degradation(sweep, obs) == fit_degradation_loop(sweep, obs)
-        # a coarser scan over the offsets of a -100 to +150 fs sweep
+        # a coarser scan over the offsets of a -100 to +150 fs sweep, which
+        # the observations fit into only when drawn 0.4 times as wide
         window = slice(300, 551)
         part = DelaySweep(sweep.tau[window], sweep.d[window], sweep.alpha, sweep.beta)
         monkeypatch.setattr(jointstate, "_OFFSET_RESOLUTION", 1e-15)
-        assert fit_degradation(part, obs) == fit_degradation_loop(part, obs)
+        for observed in (obs, [(0.4 * t, d) for t, d in obs]):
+            assert fit_outcome(fit_degradation, part, observed) == fit_outcome(
+                fit_degradation_loop, part, observed
+            )
 
     def test_inadmissible_offsets_and_ties(self):
         """Coherence zero on half the window and a flat plateau elsewhere:
@@ -466,7 +486,19 @@ class TestFitDegradationOracle:
             fit = fit_degradation(sweep, obs)
             assert fit == fit_degradation_loop(sweep, obs)
         obs = [(1e-15, 0.2 + 0.05j), (2e-15, 0.2 + 0.05j)]
-        assert fit_degradation(sweep, obs).time_offset == -10e-15  # first tie
+        # the first tie is the first offset that keeps the observation at
+        # 2 fs in the window: the scan's -8 fs point, -8.000000000000002e-15,
+        # shifts it 2 ulp past the window's end
+        offsets = np.arange(-10e-15, 10e-15, jointstate._OFFSET_RESOLUTION)
+        assert 2e-15 - offsets[4] > tau[-1] >= 2e-15 - offsets[5]
+        assert fit_degradation(sweep, obs).time_offset == offsets[5]
+        # the window is closed: observations as wide as it fit at the one
+        # offset that shifts them onto its two ends exactly
+        t0 = offsets[20]  # about 0
+        ends = [(tau[0] + t0, 0.1 + 0.0j), (tau[-1] + t0, 0.2 + 0.05j)]
+        assert [t - t0 for t, _ in ends] == [tau[0], tau[-1]]
+        assert fit_degradation(sweep, ends) == fit_degradation_loop(sweep, ends)
+        assert fit_degradation(sweep, ends).time_offset == t0
         negative = [(1e-15, -0.2 - 0.05j), (2e-15, -0.2 - 0.05j)]
         with pytest.raises(UnidentifiableFitError):
             fit_degradation(sweep, negative)
@@ -476,6 +508,26 @@ class TestFitDegradationOracle:
     def test_rejects_non_finite_observations(self):
         with pytest.raises(DomainError):
             fit_degradation(self._sweep(), [(0.0, 0.1 + 0j), (1e-15, np.nan + 0j)])
+
+    @pytest.mark.parametrize(
+        "taus_fs", [(0.0, 25.0), (25.0, 26.0)], ids=["too-wide", "too-far"]
+    )
+    def test_observations_no_offset_fits_into_the_window(self, taus_fs):
+        """Observations wider than the -10 to 10 fs window, or farther from
+        it than the +-10 fs offset scan reaches, are rejected, not fitted to
+        the window's boundary values."""
+        tau = np.linspace(-10e-15, 10e-15, 21)
+        sweep = DelaySweep(tau, np.full(21, 0.4 + 0.1j), 0.5, 0.5)
+        obs = [(t * 1e-15, 0.2 + 0.05j) for t in taus_fs]
+        message = (
+            "observations at %g to %g fs: no time offset within +-10 fs shifts"
+            " them all into the sweep window -10 to 10 fs" % taus_fs
+        )
+        with pytest.raises(DomainError) as info:
+            fit_degradation(sweep, obs)
+        assert str(info.value) == message
+        with pytest.raises(DomainError):
+            fit_degradation_loop(sweep, obs)
 
 
 class TestEdgeSplit:

@@ -9,9 +9,11 @@ tolerance and none compares bytes of float text: NumPy's vectorized
 - Figures computed in process: 1e-12 relative (complex values: of |D|).
 - Floats the CLI prints with ``%.12g``: 1e-11 relative, one unit in the
   last printed digit; ``%.6g`` residuals: 1e-5 relative.
-- The criterion-08 median fidelity: 1e-9 relative, because the likelihood
-  reconstruction stops on a relative gain of 1e-10, so a last-bit change
-  in its input can move the step it stops at.
+- The criterion-08 median fidelity and the floats ``tomo reconstruct``
+  prints: 1e-9 relative, because the likelihood reconstruction stops on a
+  relative gain of 1e-10, so a last-bit change in its input can move the
+  step it stops at.
+- The integers of a count table sampled at a fixed seed: exactly.
 """
 
 import numpy as np
@@ -137,6 +139,86 @@ def test_tomo_simulate_and_metrics_commands(config_path, tmp_path, capsys):
     assert report.keys() == want.keys()
     for key, value in want.items():
         assert report[key] == pytest.approx(value, rel=1e-11, abs=1e-12), key
+
+
+#: The rows of counts.txt from ``tomo simulate --seed 7``: setting,
+#: coincidences and the two singles.
+COUNTS_SEED_7 = """\
+H H 63 104318 104371
+H V 547 104232 103388
+H Dp 284 104334 104824
+H Dm 310 104483 104265
+H R 284 104663 104021
+H L 281 104720 104326
+V H 528 104697 104618
+V V 53 104092 104065
+V Dp 299 105117 104250
+V Dm 292 105152 104419
+V R 300 104637 104333
+V L 294 104319 103793
+Dp H 304 104418 104156
+Dp V 287 104566 104520
+Dp Dp 553 104243 104097
+Dp Dm 54 104110 104765
+Dp R 294 104495 104487
+Dp L 301 104216 104369
+Dm H 266 104526 103754
+Dm V 294 104661 104623
+Dm Dp 57 104932 104834
+Dm Dm 481 104940 103387
+Dm R 285 104158 104077
+Dm L 311 104045 105047
+R H 299 104722 104502
+R V 303 104468 104788
+R Dp 291 104249 103944
+R Dm 289 104703 104804
+R R 596 103980 104845
+R L 64 104467 104501
+L H 317 104551 104740
+L V 272 104237 104813
+L Dp 297 104038 104541
+L Dm 296 104458 104288
+L R 71 104360 103914
+L L 532 103989 104750
+"""
+
+
+def test_tomo_simulate_counts_and_reconstruct_command(config_path, tmp_path, capsys):
+    """The count table at a fixed seed, every integer exactly, and the
+    floats ``tomo reconstruct`` prints from it (1e-9 relative, as the
+    likelihood fit behind them)."""
+    out = tmp_path / "out"
+    counts, matrix = out / "counts.txt", out / "model_matrix.txt"
+    assert main(
+        ["tomo", "simulate", "--config", config_path, "--out", str(out), "--seed", "7"]
+    ) == 0
+    capsys.readouterr()
+    header, *rows = counts.read_text().splitlines()
+    assert [float(v) for v in header.split()[1:]] == [120.0, 1.9e6]
+    assert [row.split() for row in rows] == [
+        row.split() for row in COUNTS_SEED_7.splitlines()
+    ]
+    assert main(
+        ["tomo", "reconstruct", "--config", config_path, "--out", str(out),
+         "--counts", str(counts), "--reference", str(matrix)]
+    ) == 0
+    report = printed(capsys.readouterr().out)
+    want = {
+        "purity": 0.928952046666,
+        "concurrence": 0.930142616412,
+        "fidelity": 0.991226844303,
+        "re_D": 0.473983833999,
+        "im_D": -0.00424504895753,
+        "abs_D": 0.47400284317,
+        "phase_rad": -0.0089558654905,
+        "car": 11.5731336392,
+        "visibility_HV": 0.940787808515,
+        "visibility_DD": 0.975909712379,
+        "visibility_RL": 0.942871808062,
+    }
+    assert report.keys() == want.keys()
+    for key, value in want.items():
+        assert close(report[key], value, 1e-9), key
 
 
 def test_fit_command(config_path, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Tests for the joint-spectral-amplitude construction."""
 
+import hashlib
+import os
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -479,11 +482,40 @@ class TestJsaGridInvariant:
             normalized_jsa(GRID, np.zeros((GRID.n, GRID.n)))
 
 
+def write_table(path, jsa):
+    """write_jsa without its sidecar, so that read_jsa parses the text."""
+    write_jsa(path, jsa)
+    os.remove(f"{path}.npz")
+
+
+def parse_spy(monkeypatch):
+    """Byte counts of the chunks read_jsa hands to parse_pairs."""
+    chunks = []
+
+    def spy(body):
+        chunks.append(len(body))
+        return parse_pairs(body)
+
+    monkeypatch.setattr(spectral, "parse_pairs", spy)
+    return chunks
+
+
+def signed_zero_table():
+    """A 4-point table whose parts include -0.0 and subnormals."""
+    grid = FrequencyGrid(GRID.start, GRID.d_omega, 4)
+    amp = np.full((4, 4), complex(1e-20, -1e-20))
+    amp[0, 0] = 1.0 / np.sqrt(grid.cell)
+    amp[1, 1] = complex(-0.0, -0.0)
+    amp[2, 3] = complex(-0.0, 1e-20)
+    amp[3, 2] = complex(5e-324, -0.0)
+    return JsaGrid(grid, amp)
+
+
 class TestJsaFile:
     def test_round_trip_bit_exact(self, tmp_path):
         jsa = build_jsa(MODEL, GRID)
         path = tmp_path / "jsa.txt"
-        write_jsa(path, jsa)
+        write_table(path, jsa)
         back = read_jsa(path)
         assert np.array_equal(back.amplitude, jsa.amplitude)
         assert back.grid == jsa.grid
@@ -496,7 +528,7 @@ class TestJsaFile:
         if crop:
             jsa = apply_bandpass(jsa, 1535.2e-9, 36e-9)
         first, second = tmp_path / "first.txt", tmp_path / "second.txt"
-        write_jsa(first, jsa)
+        write_table(first, jsa)
         back = read_jsa(first)
         assert back.grid == jsa.grid
         write_jsa(second, back)
@@ -519,7 +551,7 @@ class TestJsaFile:
         jsa = JsaGrid(grid, amp)
         monkeypatch.setattr(spectral, "_WRITE_BLOCK_VALUES", block_values)
         path, ref = tmp_path / "jsa.txt", tmp_path / "ref.txt"
-        write_jsa(path, jsa)
+        write_table(path, jsa)
         with open(ref, "w", encoding="utf-8") as fh:
             fh.write(
                 "# %d %d %.17g %.17g %.17g %.17g\n"
@@ -535,14 +567,9 @@ class TestJsaFile:
     def test_round_trip_keeps_every_bit(self, tmp_path):
         """Parts that are -0.0 or subnormal read back with their exact bits,
         and writing the table read gives the same bytes."""
-        grid = FrequencyGrid(GRID.start, GRID.d_omega, 4)
-        amp = np.full((4, 4), complex(1e-20, -1e-20))
-        amp[0, 0] = 1.0 / np.sqrt(grid.cell)
-        amp[1, 1] = complex(-0.0, -0.0)
-        amp[2, 3] = complex(-0.0, 1e-20)
-        amp[3, 2] = complex(5e-324, -0.0)
+        amp = signed_zero_table().amplitude
         first, second = tmp_path / "first.txt", tmp_path / "second.txt"
-        write_jsa(first, JsaGrid(grid, amp))
+        write_table(first, signed_zero_table())
         back = read_jsa(first)
         assert np.array_equal(back.amplitude.view(np.uint64), amp.view(np.uint64))
         write_jsa(second, back)
@@ -567,16 +594,10 @@ class TestJsaFile:
         assert np.array_equal(read_jsa(path).amplitude, jsa.amplitude)
 
     def test_writer_layout_is_read_by_parse_pairs(self, tmp_path, monkeypatch):
-        chunks = []
-
-        def spy(body):
-            chunks.append(len(body))
-            return parse_pairs(body)
-
         jsa = build_jsa(MODEL, GRID)
         path = tmp_path / "jsa.txt"
-        write_jsa(path, jsa)
-        monkeypatch.setattr(spectral, "parse_pairs", spy)
+        write_table(path, jsa)
+        chunks = parse_spy(monkeypatch)
         assert np.array_equal(read_jsa(path).amplitude, jsa.amplitude)
         assert sum(chunks) == path.stat().st_size - len(path.read_text().split("\n")[0]) - 1
 
@@ -584,23 +605,147 @@ class TestJsaFile:
         """Chunks of 64 bytes end inside lines; the rows read are the same."""
         jsa = build_jsa(MODEL, FrequencyGrid(GRID.start, GRID.d_omega, 40))
         path = tmp_path / "jsa.txt"
-        write_jsa(path, jsa)
+        write_table(path, jsa)
         monkeypatch.setattr(spectral, "_TABLE_CHUNK", 64)
         assert np.array_equal(read_jsa(path).amplitude, jsa.amplitude)
 
-    def test_read_holds_one_chunk_of_the_text(self, tmp_path):
+    @pytest.mark.parametrize("sidecar", [False, True], ids=["parsed", "cached"])
+    def test_read_holds_one_chunk_of_the_text(self, tmp_path, monkeypatch, sidecar):
         """At 512 points (12 MB of text, 4 MB of values) a read holds the
         values, which become the amplitude without a copy, and one chunk
-        of text at a time."""
+        of text at a time, whether it parses the text or hashes it."""
         path = tmp_path / "jsa.txt"
-        write_jsa(path, build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)))
+        jsa = build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512))
+        (write_jsa if sidecar else write_table)(path, jsa)
+        chunks = parse_spy(monkeypatch)
         tracemalloc.start()
         try:
             jsa = read_jsa(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert bool(chunks) != sidecar
         assert peak <= 2 * jsa.amplitude.nbytes
+
+    @pytest.mark.parametrize("table", ["default", "cropped", "signed-zero"])
+    def test_cached_read_equals_parsed_read(self, tmp_path, monkeypatch, table):
+        """The sidecar holds the amplitude and the SHA-256 of the table's
+        bytes and the amplitude's; a read from it gives the bits and the
+        grid that parsing the text gives, and a read writes no file."""
+        jsa = {
+            "default": lambda: build_jsa(
+                MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)
+            ),
+            "cropped": lambda: apply_bandpass(build_jsa(MODEL, GRID), 1535.2e-9, 36e-9),
+            "signed-zero": signed_zero_table,
+        }[table]()
+        path, sidecar = tmp_path / "jsa.txt", tmp_path / "jsa.txt.npz"
+        write_jsa(path, jsa)
+        text = path.read_bytes()
+        with np.load(sidecar, allow_pickle=False) as held:
+            assert sorted(held.files) == ["amplitude", "sha256"]
+            assert np.array_equal(
+                held["amplitude"].view(np.uint64), jsa.amplitude.view(np.uint64)
+            )
+            digest = hashlib.sha256(text + jsa.amplitude.tobytes()).digest()
+            assert held["sha256"].tobytes() == digest
+        chunks = parse_spy(monkeypatch)
+        cached = read_jsa(path)
+        assert chunks == []
+        sidecar.unlink()
+        parsed = read_jsa(path)
+        assert chunks and not sidecar.exists()
+        assert cached.grid == parsed.grid == jsa.grid
+        assert np.array_equal(
+            cached.amplitude.view(np.uint64), parsed.amplitude.view(np.uint64)
+        )
+        assert path.read_bytes() == text
+
+    @pytest.mark.parametrize(
+        "case",
+        ["edited-text", "other-table", "other-amplitude", "truncated", "object-array",
+         "big-endian", "fortran-order", "huge-shape", "missing-member", "npy-file"],
+    )
+    def test_unusable_sidecar_falls_back_to_the_parse(self, tmp_path, monkeypatch, case):
+        """A sidecar that is stale, from another table, damaged, a pickle,
+        or holds the right bytes as the wrong array is not used: the read
+        parses the text, and gives the text's values."""
+        grid = FrequencyGrid(GRID.start, GRID.d_omega, 40)
+        jsa = build_jsa(MODEL, grid)
+        path, sidecar = tmp_path / "jsa.txt", tmp_path / "jsa.txt.npz"
+        write_jsa(path, jsa)
+        with np.load(sidecar) as held:
+            digest = held["sha256"]
+        other = normalized_jsa(grid, np.random.default_rng(5).normal(size=(40, 40)))
+        if case == "edited-text":
+            # the first real part one ulp up, which the sidecar does not hold
+            header, first, rest = path.read_bytes().split(b"\n", 2)
+            value = np.nextafter(jsa.amplitude[0, 0].real, np.inf)
+            edited = b"%.17g %.17g" % (value, jsa.amplitude[0, 0].imag)
+            path.write_bytes(b"\n".join([header, edited, rest]))
+        elif case == "other-table":
+            write_jsa(tmp_path / "other.txt", other)
+            sidecar.write_bytes((tmp_path / "other.txt.npz").read_bytes())
+        elif case == "other-amplitude":
+            # the digest covers the amplitude, not only the text
+            np.savez(sidecar, amplitude=other.amplitude, sha256=digest)
+        elif case == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[:-100])
+        elif case == "object-array":
+            np.savez(sidecar, amplitude=jsa.amplitude.astype(object), sha256=digest)
+        elif case == "big-endian":
+            # the written bytes and digest, read as big-endian values
+            np.savez(sidecar, amplitude=jsa.amplitude.view(">c16"), sha256=digest)
+        elif case == "fortran-order":
+            np.savez(sidecar, amplitude=np.asfortranarray(jsa.amplitude), sha256=digest)
+        elif case == "huge-shape":
+            # a header of the same length declaring 1.4 PiB: allocation fails
+            data = sidecar.read_bytes()
+            start = data.index(b"'shape': (40, 40), }")
+            end = data.index(b"\n", start)
+            shape = b"'shape': (99999999999999,), }".ljust(end - start)
+            sidecar.write_bytes(data[:start] + shape + data[end:])
+        elif case == "missing-member":
+            np.savez(sidecar, amplitude=jsa.amplitude)
+        elif case == "npy-file":
+            with open(sidecar, "wb") as fh:
+                np.save(fh, jsa.amplitude)
+        expected = path.read_bytes()
+        chunks = parse_spy(monkeypatch)
+        back = read_jsa(path)
+        assert chunks
+        (tmp_path / "copy.txt").write_bytes(expected)
+        parsed = read_jsa(tmp_path / "copy.txt")
+        assert np.array_equal(back.amplitude.view(np.uint64), parsed.amplitude.view(np.uint64))
+        if case != "edited-text":
+            assert np.array_equal(back.amplitude, jsa.amplitude)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        flips=st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(1, 255)), max_size=4),
+        cut=st.one_of(st.none(), st.integers(0, 1 << 20)),
+    )
+    def test_damaged_sidecar_reads_the_parsed_values(self, n, seed, flips, cut):
+        """Bytes of a sidecar flipped or cut off: the read gives the values
+        of the text, bit for bit."""
+        grid = FrequencyGrid(GRID.start, GRID.d_omega, n)
+        rng = np.random.default_rng(seed)
+        jsa = normalized_jsa(grid, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "jsa.txt")
+            write_jsa(path, jsa)
+            with open(f"{path}.npz", "rb") as fh:
+                data = bytearray(fh.read())
+            for at, mask in flips:
+                data[at % len(data)] ^= mask
+            if cut is not None:
+                data = data[: cut % (len(data) + 1)]
+            with open(f"{path}.npz", "wb") as fh:
+                fh.write(data)
+            back = read_jsa(path)
+        assert np.array_equal(back.amplitude.view(np.uint64), jsa.amplitude.view(np.uint64))
 
     def test_write_holds_one_block_of_the_text(self, tmp_path):
         """At 512 points (4 MB of values, 12 MB of text) a write holds one
