@@ -500,6 +500,20 @@ def parse_spy(monkeypatch):
     return chunks
 
 
+def assert_read_holds_one_chunk(path, monkeypatch, parsed):
+    """read_jsa(path) parses the text iff `parsed`, and its traced peak is
+    at most twice the amplitude's bytes."""
+    chunks = parse_spy(monkeypatch)
+    tracemalloc.start()
+    try:
+        jsa = read_jsa(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bool(chunks) == parsed
+    assert peak <= 2 * jsa.amplitude.nbytes
+
+
 def signed_zero_table():
     """A 4-point table whose parts include -0.0 and subnormals."""
     grid = FrequencyGrid(GRID.start, GRID.d_omega, 4)
@@ -609,23 +623,20 @@ class TestJsaFile:
         monkeypatch.setattr(spectral, "_TABLE_CHUNK", 64)
         assert np.array_equal(read_jsa(path).amplitude, jsa.amplitude)
 
-    @pytest.mark.parametrize("sidecar", [False, True], ids=["parsed", "cached"])
-    def test_read_holds_one_chunk_of_the_text(self, tmp_path, monkeypatch, sidecar):
+    def test_read_holds_one_chunk_of_the_text(self, tmp_path, monkeypatch):
         """At 512 points (12 MB of text, 4 MB of values) a read holds the
         values, which become the amplitude without a copy, and one chunk
-        of text at a time, whether it parses the text or hashes it."""
+        of text at a time."""
         path = tmp_path / "jsa.txt"
-        jsa = build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512))
-        (write_jsa if sidecar else write_table)(path, jsa)
-        chunks = parse_spy(monkeypatch)
-        tracemalloc.start()
-        try:
-            jsa = read_jsa(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert bool(chunks) != sidecar
-        assert peak <= 2 * jsa.amplitude.nbytes
+        write_table(path, build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)))
+        assert_read_holds_one_chunk(path, monkeypatch, parsed=True)
+
+    def test_cached_read_holds_one_chunk_of_the_text(self, tmp_path, monkeypatch):
+        """A read from the sidecar hashes the text one chunk at a time and
+        holds no more than the parse does."""
+        path = tmp_path / "jsa.txt"
+        write_jsa(path, build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)))
+        assert_read_holds_one_chunk(path, monkeypatch, parsed=False)
 
     @pytest.mark.parametrize("table", ["default", "cropped", "signed-zero"])
     def test_cached_read_equals_parsed_read(self, tmp_path, monkeypatch, table):
