@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line front-end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import polentsim
 from polentsim import jointstate, metrics
 from polentsim.cli import main
 from polentsim.config import RunConfig
@@ -229,6 +235,32 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err.startswith("error[format]:")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("rest", ["", "# no rows\n\n"], ids=["header-only", "comment-only"])
+    def test_table_without_rows_exit_code(self, config_path, tmp_path, rest):
+        """A JSA table with no rows and no sidecar ends in one error line
+        and no numpy warning, in a process of its own, whose warnings
+        filters are Python's defaults."""
+        out = tmp_path / "out"
+        run(["jsa", "--config", config_path, "--out", str(out)])
+        jsa = out / "jsa.txt"
+        jsa.write_text(jsa.read_text().split("\n", 1)[0] + "\n" + rest)
+        (out / "jsa.txt.npz").unlink()
+        cfg = tmp_path / "import.cfg"
+        cfg.write_text(CONFIG_TEXT + f"jsa_file = {jsa}\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(polentsim.__file__).parents[1]), env.get("PYTHONPATH")) if p
+        )
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "polentsim.cli", "sweep", "--config", str(cfg),
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 4
+        assert done.stdout == ""
+        assert done.stderr == "error[format]: expected 65536 complex rows, found 0\n"
 
     @pytest.mark.parametrize("command", ["sweep", "jsa"])
     @pytest.mark.parametrize(

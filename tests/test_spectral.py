@@ -34,7 +34,6 @@ from polentsim.spectral import (
     wavelength_to_omega,
     write_jsa,
 )
-from polentsim.textfloat import parse_pairs
 from spectral_oracles import (
     normalized_jsa,
     phase_matching,
@@ -489,28 +488,29 @@ def write_table(path, jsa):
 
 
 def parse_spy(monkeypatch):
-    """Byte counts of the chunks read_jsa hands to parse_pairs."""
-    chunks = []
+    """The list of the calls read_jsa makes to np.loadtxt from now on."""
+    calls = []
+    loadtxt = np.loadtxt
 
-    def spy(body):
-        chunks.append(len(body))
-        return parse_pairs(body)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "parse_pairs", spy)
-    return chunks
+    monkeypatch.setattr(spectral.np, "loadtxt", spy)
+    return calls
 
 
 def assert_read_holds_one_chunk(path, monkeypatch, parsed):
     """read_jsa(path) parses the text iff `parsed`, and its traced peak is
     at most twice the amplitude's bytes."""
-    chunks = parse_spy(monkeypatch)
+    calls = parse_spy(monkeypatch)
     tracemalloc.start()
     try:
         jsa = read_jsa(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert bool(chunks) == parsed
+    assert bool(calls) == parsed
     assert peak <= 2 * jsa.amplitude.nbytes
 
 
@@ -599,37 +599,44 @@ class TestJsaFile:
         ids=["crlf", "cr-after-header", "tabs", "comment", "no-final-newline"],
     )
     def test_other_layouts_read_to_the_same_values(self, tmp_path, edit):
-        """A table laid out other than the writer lays it out is left to
-        np.loadtxt, which reads the same values."""
+        """A table laid out other than the writer lays it out, which makes
+        its sidecar stale, reads to the same values."""
         jsa = build_jsa(MODEL, GRID)
         path = tmp_path / "jsa.txt"
         write_jsa(path, jsa)
         path.write_bytes(edit(path.read_bytes()))
         assert np.array_equal(read_jsa(path).amplitude, jsa.amplitude)
 
-    def test_writer_layout_is_read_by_parse_pairs(self, tmp_path, monkeypatch):
-        jsa = build_jsa(MODEL, GRID)
-        path = tmp_path / "jsa.txt"
-        write_table(path, jsa)
-        chunks = parse_spy(monkeypatch)
-        assert np.array_equal(read_jsa(path).amplitude, jsa.amplitude)
-        assert sum(chunks) == path.stat().st_size - len(path.read_text().split("\n")[0]) - 1
-
-    def test_chunk_boundaries_inside_lines(self, tmp_path, monkeypatch):
-        """Chunks of 64 bytes end inside lines; the rows read are the same."""
-        jsa = build_jsa(MODEL, FrequencyGrid(GRID.start, GRID.d_omega, 40))
-        path = tmp_path / "jsa.txt"
-        write_table(path, jsa)
-        monkeypatch.setattr(spectral, "_TABLE_CHUNK", 64)
-        assert np.array_equal(read_jsa(path).amplitude, jsa.amplitude)
-
     def test_read_holds_one_chunk_of_the_text(self, tmp_path, monkeypatch):
-        """At 512 points (12 MB of text, 4 MB of values) a read holds the
-        values, which become the amplitude without a copy, and one chunk
-        of text at a time."""
+        """At 512 points (12 MB of text, 4 MB of values) a read without a
+        sidecar holds the values, which become the amplitude without a
+        copy, and the text np.loadtxt reads one chunk at a time."""
         path = tmp_path / "jsa.txt"
         write_table(path, build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)))
         assert_read_holds_one_chunk(path, monkeypatch, parsed=True)
+
+    @pytest.mark.parametrize(
+        "model, width",
+        [(MODEL, 40e-9), (SHORT_RIDGE, 40e-9), (MODEL, 100e-9)],
+        ids=["default", "short-ridge", "wide-window"],
+    )
+    def test_read_without_sidecar_keeps_every_bit(self, tmp_path, monkeypatch, model, width):
+        """A written 512-point table read by np.loadtxt alone gives the
+        written amplitude bit for bit. The wide window holds exact zeros
+        (8 % of its values) where the pump underflows, and subnormals
+        (1.1 %), which the formatter leaves to ``%``."""
+        jsa = build_jsa(model, FrequencyGrid.centered(1535.2e-9, width, n=512))
+        path = tmp_path / "jsa.txt"
+        write_table(path, jsa)
+        calls = parse_spy(monkeypatch)
+        back = read_jsa(path)
+        assert len(calls) == 1
+        assert back.grid == jsa.grid
+        assert np.array_equal(back.amplitude.view(np.uint64), jsa.amplitude.view(np.uint64))
+        if width == 100e-9:
+            parts = np.abs(jsa.amplitude.view(float))
+            assert 0.07 < np.mean(parts == 0) < 0.09
+            assert 0.01 < np.mean((parts > 0) & (parts < np.finfo(float).tiny)) < 0.012
 
     def test_cached_read_holds_one_chunk_of_the_text(self, tmp_path, monkeypatch):
         """A read from the sidecar hashes the text one chunk at a time and
@@ -660,12 +667,12 @@ class TestJsaFile:
             )
             digest = hashlib.sha256(text + jsa.amplitude.tobytes()).digest()
             assert held["sha256"].tobytes() == digest
-        chunks = parse_spy(monkeypatch)
+        calls = parse_spy(monkeypatch)
         cached = read_jsa(path)
-        assert chunks == []
+        assert calls == []
         sidecar.unlink()
         parsed = read_jsa(path)
-        assert chunks and not sidecar.exists()
+        assert calls and not sidecar.exists()
         assert cached.grid == parsed.grid == jsa.grid
         assert np.array_equal(
             cached.amplitude.view(np.uint64), parsed.amplitude.view(np.uint64)
@@ -722,9 +729,9 @@ class TestJsaFile:
             with open(sidecar, "wb") as fh:
                 np.save(fh, jsa.amplitude)
         expected = path.read_bytes()
-        chunks = parse_spy(monkeypatch)
+        calls = parse_spy(monkeypatch)
         back = read_jsa(path)
-        assert chunks
+        assert calls
         (tmp_path / "copy.txt").write_bytes(expected)
         parsed = read_jsa(tmp_path / "copy.txt")
         assert np.array_equal(back.amplitude.view(np.uint64), parsed.amplitude.view(np.uint64))
