@@ -615,29 +615,6 @@ class TestJsaFile:
         write_table(path, build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)))
         assert_read_holds_one_chunk(path, monkeypatch, parsed=True)
 
-    @pytest.mark.parametrize(
-        "model, width",
-        [(MODEL, 40e-9), (SHORT_RIDGE, 40e-9), (MODEL, 100e-9)],
-        ids=["default", "short-ridge", "wide-window"],
-    )
-    def test_read_without_sidecar_keeps_every_bit(self, tmp_path, monkeypatch, model, width):
-        """A written 512-point table read by np.loadtxt alone gives the
-        written amplitude bit for bit. The wide window holds exact zeros
-        (8 % of its values) where the pump underflows, and subnormals
-        (1.1 %), which the formatter leaves to ``%``."""
-        jsa = build_jsa(model, FrequencyGrid.centered(1535.2e-9, width, n=512))
-        path = tmp_path / "jsa.txt"
-        write_table(path, jsa)
-        calls = parse_spy(monkeypatch)
-        back = read_jsa(path)
-        assert len(calls) == 1
-        assert back.grid == jsa.grid
-        assert np.array_equal(back.amplitude.view(np.uint64), jsa.amplitude.view(np.uint64))
-        if width == 100e-9:
-            parts = np.abs(jsa.amplitude.view(float))
-            assert 0.07 < np.mean(parts == 0) < 0.09
-            assert 0.01 < np.mean((parts > 0) & (parts < np.finfo(float).tiny)) < 0.012
-
     def test_cached_read_holds_one_chunk_of_the_text(self, tmp_path, monkeypatch):
         """A read from the sidecar hashes the text one chunk at a time and
         holds no more than the parse does."""

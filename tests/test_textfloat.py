@@ -1,10 +1,17 @@
 """Tests of the vectorized JSA table formatter against ``%`` formatting,
-and of its text read back by np.loadtxt and float."""
+and of the text of a table read back by read_jsa without a sidecar
+(np.loadtxt) against float."""
 
+import contextlib
 import io
 import math
+import os
+import random
 import struct
+import tempfile
+from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +19,120 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polentsim import textfloat
-from polentsim.spectral import FrequencyGrid, PdcModel, build_jsa, write_jsa
+from polentsim.errors import FormatError
+from polentsim.spectral import FrequencyGrid, PdcModel, build_jsa, read_jsa, write_jsa
 from polentsim.textfloat import format_pairs
+
+#: Values on either side of what a reader of decimals tells apart: zeros
+#: and signs, no point or no digits before it, upper-case E, leading zeros,
+#: 18, 19 and 20 digits, powers of two, subnormals, the smallest normal
+#: and the largest double, overflow and underflow, a halfway case,
+#: rounding up to a power of two, integers just below 2**54 and 2**57
+#: (a double rounds them up), exponents of 9 and 11 digits.
+HARD = [
+    "0", "-0", "+0", "0.0", "-0.0e5", ".5", "5.", "-.5e-3", "1e0", "1E+2",
+    "+7e-0001", "0.000123456789012345678", "000000000000000000001",
+    "123456789012345678", "1234567890123456789", "12345678901234567890",
+    "9007199254740993", "18446744073709551615", "18446744073709551616",
+    "4.9406564584124654e-324", "2.2250738585072011e-308",
+    "2.2250738585072014e-308", "1.7976931348623157e308",
+    "1.7976931348623159e308", "1e-400", "1e400", "1e-342", "1e-343",
+    "1e308", "1e309", "8.98846567431158e307", "1.00000000000000011102230246251565e0",
+    "9007199254740992.5", "0.1", "0.30000000000000004", "123.456e-2",
+    "1.9999999999999999", "0.99999999999999999", "3.9999999999999999e-200",
+    "18014398509481983", "144115188075855871", "1e-000000001",
+    "2.5E+00000000012", "-12345678901234567e-30",
+]
+
+
+def _table(tokens):
+    return "".join(f"{a} {b}\n" for a, b in zip(tokens[0::2], tokens[1::2])).encode()
 
 
 def _bits(values):
     return np.asarray(values, dtype=float).ravel().view(np.uint64)
+
+
+@contextlib.contextmanager
+def _loadtxt_results():
+    """The list of the arrays np.loadtxt returns inside the block."""
+    results = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        results.append(loadtxt(*args, **kwargs))
+        return results[-1]
+
+    with mock.patch.object(np, "loadtxt", spy):
+        yield results
+
+
+def _read(body):
+    """read_jsa on a table of 2 points with no sidecar, whose text after
+    the header is ``body``: the rows np.loadtxt read for it (None when it
+    could not read them) and the FormatError it raised (None when it
+    returned). Rows that are not a normalized 2 x 2 amplitude end in a
+    FormatError after they are read."""
+    with tempfile.TemporaryDirectory() as tmp, _loadtxt_results() as results:
+        path = os.path.join(tmp, "jsa.txt")
+        with open(path, "wb") as fh:
+            fh.write(b"# 2 2 1e15 1e12 1e15 1e12\n" + body)
+        try:
+            read_jsa(path)
+            error = None
+        except FormatError as exc:
+            error = exc
+    return (results[0] if results else None), error
+
+
+#: Finite doubles as %.17g, repr and %.ke (k = 0 to 16) write them.
+_WRITTEN = st.builds(
+    lambda x, style: repr(x) if style == "repr" else style % x,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["%.17g", "repr"] + ["%%.%de" % k for k in range(17)]),
+)
+
+
+def _random_tokens(rng, n):
+    """Decimal texts of every shape float reads, from a seeded generator."""
+
+    def double():
+        while True:
+            x = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+            if np.isfinite(x):
+                return x
+
+    def digits(k):
+        return "".join(rng.choice("0123456789") for _ in range(k))
+
+    tokens = []
+    for _ in range(n):
+        kind = rng.randrange(6)
+        if kind == 0:
+            tokens.append("%.17g" % double())
+        elif kind == 1:
+            tokens.append(repr(double()))
+        elif kind == 2:
+            tokens.append(("%%.%dg" % rng.randint(1, 18)) % double())
+        elif kind == 3:
+            mantissa = digits(rng.randint(0, 6)) + "." + digits(rng.randint(0, 14))
+            if mantissa == ".":
+                mantissa = "7."
+            exponent = rng.choice(["", "e", "E"])
+            if exponent:
+                exponent += rng.choice(["", "-", "+"]) + digits(rng.randint(1, 3))
+            tokens.append(rng.choice(["", "-", "+"]) + mantissa + exponent)
+        elif kind == 4:
+            # 15 to 19 digits around the midpoint of two adjacent doubles
+            x = abs(double()) % 1e300 or 1.5
+            mid = (Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2
+            text = format(mid, ".%de" % rng.randint(14, 18))
+            mantissa, exponent = text.split("e")
+            last = min(9, max(0, int(mantissa[-1]) + rng.choice([-1, 0, 1])))
+            tokens.append(mantissa[:-1] + str(last) + "e" + exponent)
+        else:
+            tokens.append(str(rng.randrange(10 ** rng.randint(1, 20))))
+    return tokens
 
 
 def test_powers_of_five_match_published_entries():
@@ -30,6 +145,125 @@ def test_powers_of_five_match_published_entries():
     assert entry(1) == (0xA000000000000000, 0)
     assert entry(-1) == (0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCD)
     assert entry(-2) == (0xA3D70A3D70A3D70A, 0x3D70A3D70A3D70A4)
+
+
+class TestParsePairs:
+    """The (re, im) pairs read_jsa reads from a table's text when the
+    table has no sidecar: np.loadtxt's values, which are float's values of
+    the text, or a FormatError that reaches read_jsa's caller."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_float_on_random_decimals(self, seed):
+        """Every value equals float of its text, bit for bit."""
+        tokens = _random_tokens(random.Random(seed), 20_000)
+        rows, _ = _read(_table(tokens))
+        assert rows.shape == (10_000, 2)
+        assert np.array_equal(_bits(rows), _bits([float(t) for t in tokens]))
+
+    def test_matches_float_on_hard_cases(self):
+        tokens = HARD + HARD[::-1]
+        for rotation in range(2):  # each case once in each column
+            tokens = tokens[1:] + tokens[:1]
+            rows, _ = _read(_table(tokens))
+            assert np.array_equal(_bits(rows), _bits([float(t) for t in tokens]))
+
+    @pytest.mark.parametrize(
+        "model, width",
+        [(PdcModel(), 40e-9),
+         (PdcModel(group_index_signal=3.0, group_index_idler=3.6, crystal_length=5e-3), 40e-9),
+         (PdcModel(), 100e-9)],
+        ids=["default", "short-ridge", "wide-window"],
+    )
+    def test_matches_loadtxt_on_written_jsa(self, tmp_path, model, width):
+        """A written 512-point table without its sidecar is read by one
+        np.loadtxt call to the written amplitude, bit for bit. The wide
+        window holds exact zeros (8 % of its values) where the pump
+        underflows, and subnormals (1.1 %), which the formatter leaves to
+        ``%``."""
+        jsa = build_jsa(model, FrequencyGrid.centered(1535.2e-9, width, n=512))
+        path = tmp_path / "jsa.txt"
+        write_jsa(path, jsa)
+        os.remove(f"{path}.npz")
+        with _loadtxt_results() as results:
+            back = read_jsa(path)
+        assert len(results) == 1
+        assert back.grid == jsa.grid
+        assert np.array_equal(back.amplitude.view(np.uint64), jsa.amplitude.view(np.uint64))
+        if width == 100e-9:
+            parts = np.abs(jsa.amplitude.view(float))
+            assert 0.07 < np.mean(parts == 0) < 0.09
+            assert 0.01 < np.mean((parts > 0) & (parts < np.finfo(float).tiny)) < 0.012
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_WRITTEN, _WRITTEN), min_size=1, max_size=20))
+    def test_matches_float_on_drawn_doubles(self, rows):
+        """Doubles written by %.17g, repr and %.ke (k = 0 to 16), in either
+        column, read as float reads their text, bit for bit."""
+        tokens = ["1.25e-05", "2.5e-05"] + [token for row in rows for token in row]
+        values, _ = _read(_table(tokens))
+        assert np.array_equal(_bits(values), _bits([float(t) for t in tokens]))
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1.e-05", "1.5e-5", "1.5e+0005", "1.23456789012345678e-05", "01.5e-05"],
+    )
+    def test_near_misses_take_float(self, token):
+        """Numbers one step outside the notation the writer writes read as
+        float reads them, in both columns."""
+        tokens = ["-1.2345678901234567e-105", "9.8765432109876543e-13", token, token,
+                  "-3.75e-105", "5e+07"]
+        rows, _ = _read(_table(tokens))
+        assert np.array_equal(_bits(rows), _bits([float(t) for t in tokens]))
+
+    @pytest.mark.parametrize(
+        "body, last",
+        [(b"1.5 2.5\r\n", [1.5, 2.5]), (b"1.5  2.5\n", [1.5, 2.5]),
+         (b"1.5\t2.5\n", [1.5, 2.5]), (b"1.5 2.5", [1.5, 2.5]), (b"1.5 2.5 3\n", None),
+         (b"1.5\n", None), (b"\n1.5 2.5\n", [1.5, 2.5]), (b"1.5 2.5\n\n", [1.5, 2.5]),
+         (b" 1.5 2.5\n", [1.5, 2.5]), (b"# c\n1.5 2.5\n", [1.5, 2.5]),
+         (b"1.5 2.5\n1.5\n", None), (b" \n", [])],
+        ids=["crlf", "two-spaces", "tab", "no-final-newline", "three-columns",
+             "one-column", "leading-blank-line", "trailing-blank-line",
+             "leading-space", "comment", "short-last-line", "empty-numbers"],
+    )
+    def test_other_layouts_are_left_to_the_caller(self, body, last):
+        """Line ends, blanks and comments other than the writer's read to
+        the same values; rows of other than two columns after rows of two
+        are a FormatError that names the change."""
+        rows, error = _read(b"1.25 2.5\n" * 4 + body)
+        if last is None:
+            assert rows is None
+            assert str(error).startswith("JSA table: the number of columns changed from 2")
+        else:
+            assert rows.tolist() == [[1.25, 2.5]] * 4 + [last] * (last != [])
+
+    def test_empty_text_is_left_to_the_caller(self):
+        """A table of no rows reaches the row count, without a warning."""
+        rows, error = _read(b"")
+        assert rows.size == 0
+        assert str(error) == "expected 4 complex rows, found 0"
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1e", "e5", "--1", "1.2.3", "1e5e5", ".", "+", "1-2", "1e+-5", "1e5.",
+         "1_0", "0x10", "inf", "nan", "1..", ".e1", "1ee5", "\xff",
+         "1.2.345678901234567", "1.25-105", "1.2.45e-05", "1.2+4e-105",
+         "1.2e4e-05"],
+    )
+    def test_text_that_is_not_a_number_is_left_to_the_caller(self, token):
+        """Text that is not a finite decimal ends in a FormatError, at the
+        start of the table and inside it: np.loadtxt's, which names the
+        text, or, for inf and nan, which np.loadtxt reads as non-finite
+        values, one of read_jsa's checks."""
+        for table in (f"{token} 1\n" + "1.25 2.5\n" * 4,
+                      "1.25 2.5\n" * 4 + f"3 {token}\n" + "1.25 2.5\n" * 4):
+            rows, error = _read(table.encode())
+            assert isinstance(error, FormatError)
+            if token in ("inf", "nan"):
+                assert not np.isfinite(rows).all()
+            else:
+                assert rows is None
+                assert str(error).startswith(f"JSA table: could not convert string {token!r}")
 
 
 def _percent_text(values):
