@@ -111,6 +111,8 @@ class RunConfig:
         ):
             if merged[key] > cap:
                 raise ConfigError(f"{key} must be at most {cap}, got {merged[key]}")
+        if merged["seed"] < 0:
+            raise ConfigError(f"seed must be non-negative, got {merged['seed']}")
         for key in _PATH_KEYS:
             path = self.values[key]
             if path is not None and not os.path.exists(path):

@@ -12,7 +12,6 @@ import math
 import operator
 import os
 import warnings
-import zipfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -438,31 +437,32 @@ def marginal_fwhm(axis, density) -> float:
     return float(right - left)
 
 
-#: Real values formatted per call of :func:`format_pairs`: one of its
-#: blocks, so the text of one block is held at a time.
+#: Real values formatted per call of :func:`format_pairs`: even, so that
+#: a block holds whole pairs, and few enough that a block's arrays stay in
+#: the processor cache and the text of one block is held at a time.
 _WRITE_BLOCK_VALUES = 1 << 13
 
 
 def _sidecar(path) -> str:
     """The binary sidecar :func:`write_jsa` writes beside the table."""
-    return os.fspath(path) + ".npz"
+    return os.fspath(path) + ".bin"
 
 
 def write_jsa(path, jsa: JsaGrid) -> None:
     """Write the line-oriented JSA table (SI units, full precision), then
-    its binary sidecar ``path + ".npz"``.
+    its binary sidecar ``path + ".bin"``.
 
     Each value is written as ``%.17g`` writes it, by :func:`format_pairs`.
-    The sidecar is an uncompressed ``.npz`` archive of two arrays, laid
-    out as ``np.savez`` lays it out: the complex128 C-order ``amplitude``
-    and ``sha256``, the 32-byte SHA-256 of the table's bytes followed by
-    the amplitude's bytes.  Each block of text is hashed as it is written,
-    so the text is made once.
+    The sidecar holds the 32-byte SHA-256 of the table's bytes followed by
+    the amplitude's bytes, then those amplitude bytes: n * n little-endian
+    complex128 values in C order, so that the digest means the same on any
+    host.  Each block of text is hashed as it is written, so the text is
+    made once.
     """
     import hashlib  # not at module import: it adds milliseconds to start-up
 
     grid = jsa.grid
-    amplitude = np.ascontiguousarray(jsa.amplitude)
+    amplitude = np.ascontiguousarray(jsa.amplitude, dtype="<c16")
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         header = b"# %d %d %.17g %.17g %.17g %.17g\n" % (
@@ -470,23 +470,15 @@ def write_jsa(path, jsa: JsaGrid) -> None:
         )
         digest.update(header)
         fh.write(header)
-        values = amplitude.view(float)
-        rows = max(1, _WRITE_BLOCK_VALUES // values.shape[1])
-        for start in range(0, values.shape[0], rows):
-            text = format_pairs(values[start : start + rows])
+        values = amplitude.reshape(-1).view("<f8")
+        for start in range(0, values.size, _WRITE_BLOCK_VALUES):
+            text = format_pairs(values[start : start + _WRITE_BLOCK_VALUES])
             digest.update(text)
             fh.write(text)
     digest.update(amplitude)
-    sha256 = np.frombuffer(digest.digest(), dtype=np.uint8)
-    # the members np.savez writes, but each array's bytes are written from
-    # the array itself: np.savez would first copy the whole amplitude
-    with zipfile.ZipFile(_sidecar(path), "w") as archive:
-        for name, array in (("amplitude", amplitude), ("sha256", sha256)):
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(
-                    member, np.lib.format.header_data_from_array_1_0(array)
-                )
-                member.write(array.reshape(-1).view(np.uint8))
+    with open(_sidecar(path), "wb") as fh:
+        fh.write(digest.digest())
+        fh.write(amplitude)
 
 
 #: Bytes of a JSA table hashed at a time.
@@ -526,7 +518,9 @@ def read_jsa(path) -> JsaGrid:
                     values = np.loadtxt(fh, dtype=float, ndmin=2)
             except ValueError as exc:
                 raise FormatError(f"JSA table: {exc}") from exc
-    if values.shape != (n_s * n_s, 2):
+    if values.size and values.shape[1] != 2:
+        raise FormatError(f"expected 2 values per row, found {values.shape[1]}")
+    if values.shape[0] != n_s * n_s:
         raise FormatError(
             f"expected {n_s * n_s} complex rows, found {values.shape[0]}"
         )
@@ -542,34 +536,26 @@ def read_jsa(path) -> JsaGrid:
 
 def _cached_pairs(path, n):
     """The (re, im) rows of the amplitude held in the sidecar of the table
-    at ``path``, or None unless the sidecar holds an n x n complex128
-    C-order amplitude and the SHA-256 of the table's bytes and of that
-    amplitude."""
+    at ``path``, or None unless the sidecar is 32 + 16 n**2 bytes long and
+    opens with the SHA-256 of the table's bytes and of the amplitude it
+    holds."""
     import hashlib  # not at module import: it adds milliseconds to start-up
 
     try:
-        with np.lib.npyio.NpzFile(_sidecar(path), allow_pickle=False) as sidecar:
-            amplitude, digest = sidecar["amplitude"], sidecar["sha256"]
-    # what a sidecar write_jsa did not write raises: a missing file; a
-    # damaged archive (an unsupported zip version, method or flag is a
-    # RuntimeError); a missing member; a damaged .npy header or an object
-    # array, which is a pickle; a header declaring an array too large to
-    # allocate
-    except (OSError, EOFError, KeyError, ValueError, RuntimeError, MemoryError,
-            zipfile.BadZipFile):
-        return None
-    if not (
-        amplitude.dtype == np.complex128
-        and amplitude.shape == (n, n)
-        and amplitude.flags.c_contiguous
-    ):
+        with open(_sidecar(path), "rb") as fh:
+            # the size first: a header's n allocates nothing the file lacks
+            if os.fstat(fh.fileno()).st_size != 32 + 16 * n * n:
+                return None
+            digest = fh.read(32)
+            amplitude = np.empty(n * n, dtype="<c16")
+            fh.readinto(amplitude)  # a short read fails the digest below
+    except OSError:
         return None
     expected = hashlib.sha256()
     with open(path, "rb") as raw:
         while chunk := raw.read(_TABLE_CHUNK):
             expected.update(chunk)
     expected.update(amplitude)
-    if digest.tobytes() != expected.digest():
+    if digest != expected.digest():
         return None
-    return amplitude.view(float).reshape(n * n, 2)
-
+    return amplitude.astype(complex, copy=False).view(float).reshape(n * n, 2)

@@ -10,13 +10,15 @@ Each value is therefore written byte for byte as ``%`` writes it, and
 
 :func:`format_pairs` finds the 17 significant digits of a double as Ryu
 printf does (U. Adams, "Ryu revisited: printf floating point conversion",
-Proc. ACM Program. Lang. 3 (OOPSLA), 2019): the value times a power of
-ten, rounded to an integer, from one 128-bit product. Zeros are written
-directly. A value whose product lies too close to a rounding tie to
-decide, a subnormal, a value below 1e-292 (its power of ten is beyond the
-table), a value that ``%g`` writes in fixed notation (exponents -4 to 16)
-and a non-finite value are formatted by ``%``, which also rounds ties to
-even.
+Proc. ACM Program. Lang. 3 (OOPSLA), 2019): the value times 10**(16 - k),
+k = floor(log10 |x|) by ``np.log10``, rounded to an integer, from one
+128-bit product. Zeros are written directly. ``%``, which also rounds
+ties to even, formats the rest: a value whose digits fall outside
+[10**16, 10**17) (a k that log10 misjudged beside a power of ten, or a
+rounding that carries), whose product lies too close to a rounding tie
+to decide, a subnormal, a value below 1e-292 (its power of ten is beyond
+the table), a value that ``%g`` writes in fixed notation (exponents -4
+to 16) and a non-finite value.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ import numpy as np
 #: Bytes of the longest value ``%.17g`` writes, as in
 #: ``-1.2345678901234567e-308``.
 _W = 24
-
-#: Numbers per block, even so that a block starts a line; a block's
-#: arrays stay in the processor cache.
-_BLOCK = 1 << 13
 
 #: Decimal exponents whose powers of five the table below holds.
 _Q_MIN, _Q_MAX = -342, 308
@@ -111,43 +109,11 @@ def _exponent_words():
     return text.astype(np.uint8).view(np.uint32).ravel()
 
 
-def _decimal_exponents():
-    """Per biased binary exponent b of a double, ``base[b]`` and
-    ``threshold[b]``: a normal double of significand m in [2**52, 2**53)
-    has decimal exponent floor(log10 |x|) = base[b] + (m >= threshold[b]).
-
-    A binade holds at most one power of ten 10**j. Where it holds one,
-    the base is j - 1 and the threshold the smallest significand at or
-    above 10**j. Elsewhere the base is j - 1 for the last power 10**j
-    below the binade, and the threshold 2**52, which every significand
-    reaches.
-    """
-    powers = range(-308, 309)
-    binades, significands = [], []
-    for j in powers:
-        p = 10 ** abs(j)
-        if j >= 0:
-            e2 = p.bit_length() - 1  # floor(log2(10**j))
-            m = p << (52 - e2) if e2 <= 52 else -(-p >> (e2 - 52))
-        else:
-            e2 = -p.bit_length()  # 10**-j is not a power of two
-            m = -(-(1 << (52 - e2)) // p)
-        binades.append(e2 + 1023)
-        significands.append(m)
-    binades = np.array(binades)
-    last = np.searchsorted(binades, np.arange(0x7FF), side="right") - 1
-    base = np.array(powers)[last] - 1
-    threshold = np.full(0x7FF, 1 << 52, dtype=np.uint64)
-    inside = (binades >= 1) & (binades <= 0x7FE)
-    threshold[binades[inside]] = np.array(significands, dtype=np.uint64)[inside]
-    return base, threshold
-
-
 @functools.cache
 def _format_tables():
-    """The formatter's digit, exponent and decimal-exponent tables, built
-    on first use: importing the package does not pay for them."""
-    return (_digit_words(), _exponent_words(), *_decimal_exponents())
+    """The formatter's digit and exponent tables, built on first use:
+    importing the package does not pay for them."""
+    return _digit_words(), _exponent_words()
 
 
 def _percent(value):
@@ -155,16 +121,26 @@ def _percent(value):
     return b"%.17g" % value
 
 
-def _format_block(x):
-    """Text of the doubles ``x``, an even number, each with its separator."""
-    digit_words, exponent_words, exp_base, exp_threshold = _format_tables()
+def format_pairs(values):
+    """The ``%.17g %.17g\\n`` lines of the pairs of ``values``, as bytes.
+
+    ``values`` holds an even number of doubles, taken in C order. The
+    result is ``b"%.17g %.17g\\n" * (n // 2) % tuple(values)`` byte for
+    byte.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     n = x.size
+    if n % 2:
+        raise ValueError(f"format_pairs needs pairs of values, got {n} values")
+    digit_words, exponent_words = _format_tables()
     bits = x.view(np.uint64)
     biased = ((bits >> 52) & 0x7FF).astype(np.intp)
     vector = (biased >= 1) & (biased <= 0x7FE)
     biased = np.clip(biased, 1, 0x7FE)
     m = (bits & ((1 << 52) - 1)) | (1 << 52)
-    k = exp_base[biased] + (m >= exp_threshold[biased])
+    # the decimal exponent floor(log10 |x|), up to one beside a power of
+    # ten; 0 where the vectors decline
+    k = np.floor(np.log10(np.abs(x), out=np.zeros(n), where=vector)).astype(np.intp)
 
     # 17 digits: x * 10**q rounded, q = 16 - k; below 1e-292, q is beyond
     # the table of 5**q
@@ -185,10 +161,9 @@ def _format_block(x):
     dropped = (hi & ((1 << t) - 1)) + (low < 2)
     vector &= ~((dropped == (1 << (t - 1))) & (low <= 4))
     digits = (hi >> t) + ((hi >> (t - 1)) & 1)
-    # rounding up to 10**17 is 10**16 with the next exponent
-    carried = digits == 10**17
-    digits[carried] = 10**16
-    k += carried
+    # a k one too large leaves the product below 10**16, a k one too small
+    # rounds it to 10**17 or more, and so does a carry into the next power
+    vector &= ((hi >> t) >= 10**16) & (digits < 10**17)
     # %g writes the exponents -4 to 16 in fixed notation
     vector &= (k < -4) | (k > 16)
     zero = (bits << 1) == 0
@@ -219,16 +194,3 @@ def _format_block(x):
         cells[i, :_W] = np.frombuffer(_percent(float(x[i])).ljust(_W, b"\0"), dtype=np.uint8)
     cells = cells.ravel()
     return cells[cells != 0].tobytes()
-
-
-def format_pairs(values):
-    """The ``%.17g %.17g\\n`` lines of the pairs of ``values``, as bytes.
-
-    ``values`` holds an even number of doubles, taken in C order. The
-    result is ``b"%.17g %.17g\\n" * (n // 2) % tuple(values)`` byte for
-    byte, made one block of values at a time.
-    """
-    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if flat.size % 2:
-        raise ValueError(f"format_pairs needs pairs of values, got {flat.size} values")
-    return b"".join(_format_block(flat[lo : lo + _BLOCK]) for lo in range(0, flat.size, _BLOCK))

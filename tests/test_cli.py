@@ -236,6 +236,23 @@ class TestSweepCommand:
         assert captured.err.startswith("error[format]:")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "body, found",
+        [(["0.5 0 0"] * 4, 3), (["0.5", "0"] * 4, 1)],
+        ids=["three-columns", "one-value-per-line"],
+    )
+    def test_wrong_column_count_jsa_file_exit_code(self, tmp_path, capsys, body, found):
+        """A 2-point table of rows other than two values names the columns
+        it found, whatever its row count."""
+        jsa = tmp_path / "jsa.txt"
+        jsa.write_text("# 2 2 1 1 1 1\n" + "\n".join(body) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT + f"jsa_file = {jsa}\n")
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[format]: expected 2 values per row, found {found}\n"
+
     @pytest.mark.parametrize("rest", ["", "# no rows\n\n"], ids=["header-only", "comment-only"])
     def test_table_without_rows_exit_code(self, config_path, tmp_path, rest):
         """A JSA table with no rows and no sidecar ends in one error line
@@ -245,7 +262,7 @@ class TestSweepCommand:
         run(["jsa", "--config", config_path, "--out", str(out)])
         jsa = out / "jsa.txt"
         jsa.write_text(jsa.read_text().split("\n", 1)[0] + "\n" + rest)
-        (out / "jsa.txt.npz").unlink()
+        (out / "jsa.txt.bin").unlink()
         cfg = tmp_path / "import.cfg"
         cfg.write_text(CONFIG_TEXT + f"jsa_file = {jsa}\n")
         env = dict(os.environ)
@@ -426,6 +443,24 @@ class TestTomoCommands:
         assert (out_a / "counts.txt").read_bytes() != (
             out_b / "counts.txt"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "config_line, flags",
+        [("seed = -3", []), ("", ["--seed", "-1"])],
+        ids=["file", "flag"],
+    )
+    def test_simulate_negative_seed_exit_code(self, tmp_path, capsys, config_line, flags):
+        """A negative seed is a config error before any file is written."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + config_line + "\n")
+        out = tmp_path / "out"
+        code = run(["tomo", "simulate", "--config", str(cfg), "--out", str(out), *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[config]: seed")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
     def test_reconstruct_missing_row_exit_code(
         self, config_path, tmp_path, capsys

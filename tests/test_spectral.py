@@ -484,7 +484,7 @@ class TestJsaGridInvariant:
 def write_table(path, jsa):
     """write_jsa without its sidecar, so that read_jsa parses the text."""
     write_jsa(path, jsa)
-    os.remove(f"{path}.npz")
+    os.remove(f"{path}.bin")
 
 
 def parse_spy(monkeypatch):
@@ -548,13 +548,13 @@ class TestJsaFile:
         write_jsa(second, back)
         assert second.read_bytes() == first.read_bytes()
 
-    @pytest.mark.parametrize("block_values", [1, 28, 1 << 16])
+    @pytest.mark.parametrize("block_values", [2, 28, 1 << 16])
     def test_writer_matches_per_element_reference(
         self, tmp_path, monkeypatch, block_values
     ):
         """Block formatting writes the bytes of one write per value, for
-        blocks of one row, of two rows with a short last block, and of the
-        whole grid; -0.0 and subnormals keep their exact text."""
+        blocks of one pair, of two rows with a short last block, and of
+        the whole grid; -0.0 and subnormals keep their exact text."""
         grid = FrequencyGrid(GRID.start, GRID.d_omega, 7)
         rng = np.random.default_rng(3)
         amp = 1e-20 * (rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
@@ -624,9 +624,10 @@ class TestJsaFile:
 
     @pytest.mark.parametrize("table", ["default", "cropped", "signed-zero"])
     def test_cached_read_equals_parsed_read(self, tmp_path, monkeypatch, table):
-        """The sidecar holds the amplitude and the SHA-256 of the table's
-        bytes and the amplitude's; a read from it gives the bits and the
-        grid that parsing the text gives, and a read writes no file."""
+        """The sidecar holds the SHA-256 of the table's bytes and the
+        amplitude's, then the amplitude as little-endian complex128 in C
+        order; a read from it gives the bits and the grid that parsing the
+        text gives, and a read writes no file."""
         jsa = {
             "default": lambda: build_jsa(
                 MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)
@@ -634,16 +635,12 @@ class TestJsaFile:
             "cropped": lambda: apply_bandpass(build_jsa(MODEL, GRID), 1535.2e-9, 36e-9),
             "signed-zero": signed_zero_table,
         }[table]()
-        path, sidecar = tmp_path / "jsa.txt", tmp_path / "jsa.txt.npz"
+        path, sidecar = tmp_path / "jsa.txt", tmp_path / "jsa.txt.bin"
         write_jsa(path, jsa)
         text = path.read_bytes()
-        with np.load(sidecar, allow_pickle=False) as held:
-            assert sorted(held.files) == ["amplitude", "sha256"]
-            assert np.array_equal(
-                held["amplitude"].view(np.uint64), jsa.amplitude.view(np.uint64)
-            )
-            digest = hashlib.sha256(text + jsa.amplitude.tobytes()).digest()
-            assert held["sha256"].tobytes() == digest
+        amplitude = jsa.amplitude.astype("<c16").tobytes()
+        digest = hashlib.sha256(text + amplitude).digest()
+        assert sidecar.read_bytes() == digest + amplitude
         calls = parse_spy(monkeypatch)
         cached = read_jsa(path)
         assert calls == []
@@ -658,19 +655,19 @@ class TestJsaFile:
 
     @pytest.mark.parametrize(
         "case",
-        ["edited-text", "other-table", "other-amplitude", "truncated", "object-array",
-         "big-endian", "fortran-order", "huge-shape", "missing-member", "npy-file"],
+        ["edited-text", "other-table", "other-amplitude", "truncated", "one-byte-long",
+         "empty", "big-endian", "npy-file", "npz-file"],
     )
     def test_unusable_sidecar_falls_back_to_the_parse(self, tmp_path, monkeypatch, case):
-        """A sidecar that is stale, from another table, damaged, a pickle,
-        or holds the right bytes as the wrong array is not used: the read
+        """A sidecar that is stale, from another table, of another size or
+        holds the right bytes in another layout is not used: the read
         parses the text, and gives the text's values."""
         grid = FrequencyGrid(GRID.start, GRID.d_omega, 40)
         jsa = build_jsa(MODEL, grid)
-        path, sidecar = tmp_path / "jsa.txt", tmp_path / "jsa.txt.npz"
+        path, sidecar = tmp_path / "jsa.txt", tmp_path / "jsa.txt.bin"
         write_jsa(path, jsa)
-        with np.load(sidecar) as held:
-            digest = held["sha256"]
+        held = sidecar.read_bytes()
+        digest = held[:32]
         other = normalized_jsa(grid, np.random.default_rng(5).normal(size=(40, 40)))
         if case == "edited-text":
             # the first real part one ulp up, which the sidecar does not hold
@@ -680,31 +677,26 @@ class TestJsaFile:
             path.write_bytes(b"\n".join([header, edited, rest]))
         elif case == "other-table":
             write_jsa(tmp_path / "other.txt", other)
-            sidecar.write_bytes((tmp_path / "other.txt.npz").read_bytes())
+            sidecar.write_bytes((tmp_path / "other.txt.bin").read_bytes())
         elif case == "other-amplitude":
             # the digest covers the amplitude, not only the text
-            np.savez(sidecar, amplitude=other.amplitude, sha256=digest)
+            sidecar.write_bytes(digest + other.amplitude.astype("<c16").tobytes())
         elif case == "truncated":
-            sidecar.write_bytes(sidecar.read_bytes()[:-100])
-        elif case == "object-array":
-            np.savez(sidecar, amplitude=jsa.amplitude.astype(object), sha256=digest)
+            sidecar.write_bytes(held[:-100])
+        elif case == "one-byte-long":
+            sidecar.write_bytes(held + b"\0")
+        elif case == "empty":
+            sidecar.write_bytes(b"")
         elif case == "big-endian":
-            # the written bytes and digest, read as big-endian values
-            np.savez(sidecar, amplitude=jsa.amplitude.view(">c16"), sha256=digest)
-        elif case == "fortran-order":
-            np.savez(sidecar, amplitude=np.asfortranarray(jsa.amplitude), sha256=digest)
-        elif case == "huge-shape":
-            # a header of the same length declaring 1.4 PiB: allocation fails
-            data = sidecar.read_bytes()
-            start = data.index(b"'shape': (40, 40), }")
-            end = data.index(b"\n", start)
-            shape = b"'shape': (99999999999999,), }".ljust(end - start)
-            sidecar.write_bytes(data[:start] + shape + data[end:])
-        elif case == "missing-member":
-            np.savez(sidecar, amplitude=jsa.amplitude)
+            # the written digest, the amplitude's bytes swapped
+            sidecar.write_bytes(digest + jsa.amplitude.astype(">c16").tobytes())
         elif case == "npy-file":
             with open(sidecar, "wb") as fh:
                 np.save(fh, jsa.amplitude)
+        elif case == "npz-file":
+            # the sidecar of the earlier layout, under the new name
+            with open(sidecar, "wb") as fh:
+                np.savez(fh, amplitude=jsa.amplitude, sha256=np.frombuffer(digest, np.uint8))
         expected = path.read_bytes()
         calls = parse_spy(monkeypatch)
         back = read_jsa(path)
@@ -731,13 +723,13 @@ class TestJsaFile:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "jsa.txt")
             write_jsa(path, jsa)
-            with open(f"{path}.npz", "rb") as fh:
+            with open(f"{path}.bin", "rb") as fh:
                 data = bytearray(fh.read())
             for at, mask in flips:
                 data[at % len(data)] ^= mask
             if cut is not None:
                 data = data[: cut % (len(data) + 1)]
-            with open(f"{path}.npz", "wb") as fh:
+            with open(f"{path}.bin", "wb") as fh:
                 fh.write(data)
             back = read_jsa(path)
         assert np.array_equal(back.amplitude.view(np.uint64), jsa.amplitude.view(np.uint64))
@@ -805,10 +797,17 @@ class TestJsaFile:
         assert str(info.value) == message
 
     def test_huge_header_count_fails_on_the_row_count(self, tmp_path):
-        """The axis is derived lazily, so a header count of 10^12 points
-        allocates nothing before the table is found to be short."""
+        """The axis is derived lazily, and a sidecar is read only when it
+        has the size the header's count gives, so a header count of 10^12
+        points allocates nothing before the table is found to be short,
+        with or without a real sidecar beside it."""
         path = tmp_path / "bad.txt"
         path.write_text("# 1000000000000 1000000000000 1 1 1 1\n" + "0.5 0\n" * 4)
+        with pytest.raises(FormatError, match="^expected 10{24} complex rows, found 4$"):
+            read_jsa(path)
+        write_jsa(path, normalized_jsa(FrequencyGrid(GRID.start, GRID.d_omega, 2), np.ones((2, 2))))
+        text = path.read_bytes()
+        path.write_bytes(text.replace(b"# 2 2 ", b"# 1000000000000 1000000000000 ", 1))
         with pytest.raises(FormatError, match="^expected 10{24} complex rows, found 4$"):
             read_jsa(path)
 

@@ -4,7 +4,6 @@ and of the text of a table read back by read_jsa without a sidecar
 
 import contextlib
 import io
-import math
 import os
 import random
 import struct
@@ -183,7 +182,7 @@ class TestParsePairs:
         jsa = build_jsa(model, FrequencyGrid.centered(1535.2e-9, width, n=512))
         path = tmp_path / "jsa.txt"
         write_jsa(path, jsa)
-        os.remove(f"{path}.npz")
+        os.remove(f"{path}.bin")
         with _loadtxt_results() as results:
             back = read_jsa(path)
         assert len(results) == 1
@@ -405,25 +404,42 @@ class TestFormatPairs:
         with pytest.raises(ValueError, match="pairs"):
             format_pairs([1.0, 2.0, 3.0])
 
-    def test_decimal_exponent_table(self):
-        """floor(log10 x) from the table, at both ends of every binade of
-        normals and on either side of every power of ten."""
+    def test_matches_percent_on_binade_ends_and_powers_of_ten(self):
+        """At both ends of every binade of normals and on either side of
+        every power of ten, where log10 may misjudge the decimal exponent,
+        both signs."""
         firsts = [float(np.ldexp(1.0, b - 1023)) for b in range(1, 0x7FF)]
         lasts = [float(np.nextafter(2 * x, 0)) for x in firsts]
         powers = [v for j in range(-307, 309) for v in _neighbours(float(f"1e{j}"))]
-        base, threshold = textfloat._decimal_exponents()
-        for x in firsts + lasts + powers:
-            bits = int(_bits([x])[0])
-            b, m = bits >> 52, (bits & ((1 << 52) - 1)) | (1 << 52)
-            k = base[b] + (m >= int(threshold[b]))
-            assert k == _floor_log10(x), x
+        values = np.array(firsts + lasts + powers)
+        values = np.concatenate((values, -values))
+        assert format_pairs(values) == _percent_text(values)
 
+    @pytest.mark.parametrize("direction", [-1, 1], ids=["log10-low", "log10-high"])
+    def test_misjudged_exponents_take_percent(self, monkeypatch, direction):
+        """A log10 one ulp off, as another host's may be, misjudges the
+        exponent beside powers of ten; those values go to ``%``."""
+        log10 = np.log10
 
-def _floor_log10(x):
-    """floor(log10 x) of a positive double, exactly."""
-    k = math.floor(math.log10(x))
-    while Fraction(10) ** k > Fraction(x):
-        k -= 1
-    while Fraction(10) ** (k + 1) <= Fraction(x):
-        k += 1
-    return k
+        def skewed(*args, **kwargs):
+            out = log10(*args, **kwargs)
+            return np.nextafter(out, direction * np.inf, out=out)
+
+        monkeypatch.setattr(textfloat.np, "log10", skewed)
+        powers = [v for j in range(-307, 309) for v in _neighbours(float(f"1e{j}"))]
+        values = np.array(powers + [-x for x in powers])
+        assert format_pairs(values) == _percent_text(values)
+
+    def test_wide_window_declines_only_values_below_1e_292(self, monkeypatch):
+        """On the 512-point table over 100 nm, ``%`` writes exactly the
+        nonzero values below 1e-292 (subnormals among them), 2.2 % of the
+        table; every other value takes the vectors."""
+        jsa = build_jsa(PdcModel(), FrequencyGrid.centered(1535.2e-9, 100e-9, n=512))
+        values = jsa.amplitude.view(float).ravel()
+        declined = []
+        percent = textfloat._percent
+        monkeypatch.setattr(textfloat, "_percent", lambda x: declined.append(x) or percent(x))
+        assert format_pairs(values) == _percent_text(values)
+        tiny = values[(values != 0) & (np.abs(values) < 1e-292)]
+        assert np.array_equal(_bits(declined), _bits(tiny))
+        assert len(declined) == 11_555
