@@ -25,11 +25,23 @@ from .errors import (
     UnidentifiableFitError,
     decode_errors_as,
 )
-from .spectral import FrequencyGrid, JsaGrid, _antidiagonal_sums
+from .spectral import (
+    FrequencyGrid,
+    JsaGrid,
+    _antidiagonal_sums,
+    _band_rows,
+    _map_bands,
+    _row_bands,
+)
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
+
+#: Values in the scratch array each lane of the difference table and of
+#: |f|^2 holds: half a band, so that two lanes at a time stay within the
+#: working-set bounds of one.
+_SCRATCH_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -64,8 +76,9 @@ class PostSelectedAmplitudes:
         and has difference frequency (j - k) d_omega, so summing each
         diagonal j - k collapses the grid onto 2n - 1 terms, zero-padded to
         a K x B table with B the ceiling of sqrt(2n - 1).  The sum runs over
-        bands of rows, so no grid-sized temporary is made.  Computed on
-        first use.
+        bands of rows, on two lanes where the process may use two CPUs
+        (see ``_map_bands``), so no grid-sized temporary is made.  Computed
+        on first use.
         """
         n = self.grid.n
         terms = 2 * n - 1
@@ -75,18 +88,33 @@ class PostSelectedAmplitudes:
         row_scale = np.sqrt(c.t_h * c.t_v)
         col_scale = np.sqrt(c.r_h * c.r_v)[:, None]
 
-        def fill(rows, band):
-            # f[k, j] for the band's j, copied to rows of k: reading the
-            # transpose of f in place would stride across the whole grid
-            cols = f[:, rows] * col_scale
-            cols *= row_scale[rows]
-            # with columns reversed, diagonal j - k is anti-diagonal
-            # (j - j0) + (n - 1 - k) of the band
-            np.conjugate(f[rows, ::-1], out=band)
-            band *= cols[::-1].T
+        def work():
+            cols_buf = np.empty(max(_SCRATCH_VALUES, n), dtype=complex)
+
+            def fill(rows, band):
+                # band column k' holds grid row k = n - 1 - k' of f; the
+                # columns are made `step` at a time, so the scratch is small
+                r = rows.stop - rows.start
+                step = max(1, _SCRATCH_VALUES // r)
+                flipped = f[rows, ::-1]
+                for start in range(0, n, step):
+                    stop = min(start + step, n)
+                    # f[k, j] for the band's j, copied to rows of k: reading
+                    # the transpose of f in place would stride across the grid
+                    ks = slice(n - stop, n - start)
+                    cols = cols_buf[: (stop - start) * r].reshape(-1, r)
+                    np.multiply(f[ks, rows], col_scale[ks], out=cols)
+                    cols *= row_scale[rows]
+                    # with columns reversed, diagonal j - k is anti-diagonal
+                    # (j - j0) + (n - 1 - k) of the band
+                    part = band[:, start:stop]
+                    np.conjugate(flipped[:, start:stop], out=part)
+                    part *= cols[::-1].T
+
+            return fill
 
         weights = np.zeros(block * -(-terms // block), dtype=complex)
-        weights[:terms] = _antidiagonal_sums(n, n, fill, dtype=complex)
+        weights[:terms] = _antidiagonal_sums(n, n, work, dtype=complex)
         weights *= self.grid.cell / self.norm_constant
         table = weights.reshape(-1, block)
         table.flags.writeable = False  # shared cache
@@ -111,8 +139,24 @@ def _cross_path_weights(power, curves: SplitterCurves, cell: float):
 
 
 def _power(amplitude) -> np.ndarray:
-    """|f|^2 of a complex grid."""
-    return amplitude.real**2 + amplitude.imag**2
+    """|f|^2 of a complex grid, re^2 + im^2, filled _SCRATCH_VALUES values
+    at a time on each lane (see ``_map_bands``); it has no sums, so the
+    size of its bands does not change a bit of it."""
+    n_rows, width = amplitude.shape
+    power = np.empty((n_rows, width))
+
+    def work():
+        imag_sq = np.empty((_band_rows(n_rows, width, _SCRATCH_VALUES), width))
+
+        def fill(rows):
+            band = power[rows]
+            np.square(amplitude[rows].real, out=band)
+            band += np.square(amplitude[rows].imag, out=imag_sq[: len(band)])
+
+        return fill
+
+    _map_bands(work, _row_bands(n_rows, width, _SCRATCH_VALUES))
+    return power
 
 
 def post_select(jsa: JsaGrid, splitter: SplitterResponse) -> PostSelectedAmplitudes:

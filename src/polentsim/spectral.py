@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -232,9 +233,11 @@ class JsaGrid:
         return _riemann_power(self.amplitude, self.grid.cell)
 
 
-def _gaussian(u):
-    """Pump amplitude at detuning u, in units of the intensity FWHM."""
-    return np.exp(-2.0 * np.log(2.0) * (u * u))
+def _gaussian(u, out=None):
+    """Pump amplitude at detuning u, in units of the intensity FWHM,
+    written to ``out`` when it is given (``out`` may be ``u``)."""
+    u_sq = np.multiply(u, u, out=out)
+    return np.exp(np.multiply(-2.0 * np.log(2.0), u_sq, out=out), out=out)
 
 
 def _mismatch_terms(model: PdcModel, omega_s, omega_i):
@@ -268,29 +271,112 @@ _BAND_VALUES = 1 << 16
 _SINC_GUARD = 0.05
 
 
-def _row_bands(n_rows: int, width: int):
-    """Slices of consecutive rows holding about _BAND_VALUES values each."""
-    step = max(1, _BAND_VALUES // width)
-    for start in range(0, n_rows, step):
-        yield slice(start, min(start + step, n_rows))
+def _band_rows(n_rows: int, width: int, values: int = _BAND_VALUES) -> int:
+    """Rows in the first band of an n_rows x width grid: about ``values``
+    values, or the whole grid when it holds fewer."""
+    return min(n_rows, max(1, values // width))
 
 
-def _antidiagonal_sums(n_rows: int, width: int, fill, dtype=float) -> np.ndarray:
+def _row_bands(n_rows: int, width: int, values: int = _BAND_VALUES) -> list:
+    """Slices of consecutive rows, _band_rows(n_rows, width, values) rows
+    each but the last."""
+    step = _band_rows(n_rows, width, values)
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+
+
+def _lane_count() -> int:
+    """2 when this process may run on two or more CPUs, otherwise 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = 1
+    return 2 if cpus >= 2 else 1
+
+
+def _map_bands(work, bands) -> list:
+    """The result of each band in ``bands``, in band order.
+
+    ``work()`` is called once per lane and returns the function that lane
+    applies to each band it takes, so that scratch it allocates is reused
+    from band to band.  It is called on the calling thread: the scratch
+    then comes from that thread's heap, and a helper thread leaves no
+    heap of its own holding freed scratch.  With two lanes the calling
+    thread and one helper thread each take the next band not yet taken
+    until none is left; NumPy releases the interpreter lock inside its
+    loops, so the two overlap, and a lane that falls behind (its CPU
+    taken by another process) leaves the rest of the bands to the other.
+    A band's result is made by the same operations on either lane.  The
+    helper is always joined, and an exception it raised is raised here.
+    """
+    results = [None] * len(bands)
+    lanes = min(_lane_count(), len(bands))
+    band_functions = [work() for _ in range(lanes)]
+    untaken = iter(range(len(bands)))
+    taking = threading.Lock()
+
+    def run(lane):
+        band = band_functions[lane]
+        while True:
+            with taking:
+                i = next(untaken, None)
+            if i is None:
+                return
+            results[i] = band(bands[i])
+
+    if lanes == 1:
+        run(0)
+        return results
+    failure = []
+
+    def helper():
+        try:
+            run(1)
+        except BaseException as exc:  # raised again on the calling thread
+            failure.append(exc)
+
+    thread = threading.Thread(target=helper, name="polentsim-band-lane")
+    thread.start()
+    try:
+        run(0)
+    finally:
+        thread.join()
+    if failure:
+        raise failure[0]
+    return results
+
+
+def _antidiagonal_sums(n_rows: int, width: int, work, dtype=float) -> np.ndarray:
     """Sums along j + k of an n_rows x width grid, one band of rows at a time.
 
-    ``fill(rows, band)`` writes grid rows ``rows`` into ``band``.  A band
-    of r rows is laid out at row length width + r and read back at row
-    length width + r - 1, which shifts row i by i places and puts cell
-    (i, k) in column i + k; the column sums are then the band's
-    anti-diagonal sums.  No grid-sized temporary or index array is made.
+    ``work()`` returns a ``fill(rows, band)`` that writes grid rows
+    ``rows`` into ``band``; it is called once per lane (see
+    :func:`_map_bands`).  A band of r rows is laid out at row length
+    width + r and read back at row length width + r - 1, which shifts row
+    i by i places and puts cell (i, k) in column i + k; the column sums
+    are then the band's anti-diagonal sums.  Each lane reuses one layout
+    buffer, and the bands' sums are added in band order.  No grid-sized
+    temporary or index array is made.
     """
+    bands = _row_bands(n_rows, width)
+    height = _band_rows(n_rows, width)
+
+    def lane():
+        fill = work()
+        flat = np.empty(height * (width + height), dtype=dtype)
+
+        def band_sums(rows):
+            r = rows.stop - rows.start
+            layout = flat[: r * (width + r)].reshape(r, width + r)
+            layout[:, width:] = 0
+            fill(rows, layout[:, :width])
+            skewed = flat[: r * (width + r - 1)].reshape(r, width + r - 1)
+            return skewed.sum(axis=0)
+
+        return band_sums
+
     sums = np.zeros(n_rows + width - 1, dtype=dtype)
-    for rows in _row_bands(n_rows, width):
-        r = rows.stop - rows.start
-        flat = np.zeros(r * (width + r), dtype=dtype)
-        fill(rows, flat.reshape(r, width + r)[:, :width])
-        skewed = flat[: r * (width + r - 1)].reshape(r, width + r - 1)
-        sums[rows.start : rows.stop + width - 1] += skewed.sum(axis=0)
+    for rows, band_sums in zip(bands, _map_bands(lane, bands)):
+        sums[rows.start : rows.stop + width - 1] += band_sums
     return sums
 
 
@@ -302,7 +388,9 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
     part sin x_s cos x_i + cos x_s sin x_i is the sinc numerator; only the
     pump Gaussian and one division are evaluated per cell.  Cells with |x|
     below _SINC_GUARD take sin(x)/x directly.  The grid is filled one band
-    of rows at a time and scaled once by the accumulated Riemann norm.
+    of rows at a time, on two lanes where the process may use two CPUs
+    (see :func:`_map_bands`), and scaled once by the Riemann norm, the
+    bands' norms added in band order.
 
     The discarded-norm fraction is the share of the whole plane's norm
     that falls outside the grid window.  |f|^2 = G(sigma)^2 sinc^2(x) with
@@ -330,20 +418,39 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
     u = (axis - model.omega_pump_center / 2.0) / model.pump_bandwidth_omega
     phase_s, phase_i = np.exp(1j * x_s), np.exp(1j * x_i)
     amplitude = np.empty((grid.n, grid.n), dtype=complex)
+    bands = _row_bands(grid.n, grid.n)
+    height = _band_rows(grid.n, grid.n)
+
+    def work():
+        x_buf = np.empty((height, grid.n))
+        envelope_buf = np.empty((height, grid.n))
+        near_buf = np.empty((height, grid.n), dtype=bool)
+
+        def fill(rows):
+            """Write the band's unnormalized amplitude; return its norm."""
+            band = amplitude[rows]
+            r = rows.stop - rows.start
+            x, envelope = x_buf[:r], envelope_buf[:r]
+            np.multiply.outer(phase_s[rows], phase_i, out=band)
+            np.add.outer(x_s[rows], x_i, out=x)
+            near = np.flatnonzero(
+                np.less(np.abs(x, out=envelope), _SINC_GUARD, out=near_buf[:r])
+            )
+            x_near = x.flat[near]
+            x.flat[near] = 1.0  # no division by zero; these cells are set below
+            # Im(e^{i x_s} e^{i x_i}) is sin(x_s + x_i) by the angle-sum identity
+            np.divide(band.imag, x, out=envelope)
+            envelope.flat[near] = _sinc(x_near)
+            envelope *= _gaussian(np.add.outer(u[rows], u, out=x), out=x)
+            norm = float(np.vdot(envelope, envelope))
+            band *= envelope
+            return norm
+
+        return fill
+
     norm_in = 0.0
-    for rows in _row_bands(grid.n, grid.n):
-        band = amplitude[rows]
-        np.multiply.outer(phase_s[rows], phase_i, out=band)
-        x = np.add.outer(x_s[rows], x_i)
-        near = np.flatnonzero(np.abs(x) < _SINC_GUARD)
-        x_near = x.flat[near]
-        x.flat[near] = 1.0  # no division by zero; these cells are set below
-        # Im(e^{i x_s} e^{i x_i}) is sin(x_s + x_i) by the angle-sum identity
-        envelope = np.divide(band.imag, x)
-        envelope.flat[near] = _sinc(x_near)
-        envelope *= _gaussian(np.add.outer(u[rows], u))
-        norm_in += float(np.vdot(envelope, envelope))
-        band *= envelope
+    for band_norm in _map_bands(work, bands):
+        norm_in += band_norm
     norm_in *= grid.cell
     if not norm_in > 0:
         raise EmptySupportError("amplitude has zero norm on this grid")
@@ -407,11 +514,16 @@ def antidiagonal_marginal(jsa: JsaGrid):
     grid = jsa.grid
     f = jsa.amplitude
 
-    def fill(rows, band):
-        np.square(f[rows].real, out=band)
-        band += np.square(f[rows].imag)
+    def work():
+        imag_sq = np.empty((_band_rows(grid.n, grid.n), grid.n))
 
-    density = _antidiagonal_sums(grid.n, grid.n, fill)
+        def fill(rows, band):
+            np.square(f[rows].real, out=band)
+            band += np.square(f[rows].imag, out=imag_sq[: rows.stop - rows.start])
+
+        return fill
+
+    density = _antidiagonal_sums(grid.n, grid.n, work)
     sums = 2.0 * grid.start + np.arange(2 * grid.n - 1) * grid.d_omega
     return sums, density * grid.d_omega
 

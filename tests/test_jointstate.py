@@ -153,19 +153,36 @@ class TestPostSelect:
         for name in ("t_h", "r_h", "t_v", "r_v"):
             assert np.array_equal(getattr(amps.curves, name), getattr(c, name))
 
-    def test_coherence_working_set_is_one_band(self):
+    def test_coherence_working_set_is_one_band(self, set_lanes):
         """post_select and the difference table allocate well under one
-        512-point grid (4 MiB), and leave the shared amplitude as it was."""
+        512-point grid (4 MiB), on one lane or two, and leave the shared
+        amplitude as it was."""
         jsa = build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512))
         before = jsa.amplitude.copy()
-        tracemalloc.start()
-        try:
-            post_select(jsa, SPLIT).difference_spectrum
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5e6
-        assert np.array_equal(jsa.amplitude, before)
+        for lanes in (1, 2):
+            set_lanes(lanes)
+            tracemalloc.start()
+            try:
+                post_select(jsa, SPLIT).difference_spectrum
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5e6, f"{lanes} lanes"
+            assert np.array_equal(jsa.amplitude, before)
+
+    def test_post_select_holds_one_power_grid(self, set_lanes):
+        """At 1024 points post_select holds the real |f|^2 grid (n^2 * 8 B)
+        and at most 1 MB besides, on one lane or two."""
+        jsa = build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=1024))
+        for lanes in (1, 2):
+            set_lanes(lanes)
+            tracemalloc.start()
+            try:
+                post_select(jsa, SPLIT)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1024 * 1024 * 8 + 1e6, f"{lanes} lanes"
 
 
 class TestLoopOracle:

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import tempfile
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -243,17 +244,20 @@ class TestBuildJsa:
         )
         assert err <= 1e-13 * np.max(np.abs(envelope))
 
-    def test_band_evaluation_allocates_one_output_grid(self):
+    def test_band_evaluation_allocates_one_output_grid(self, set_lanes):
         """At 1024 points the build holds the output grid plus band-sized
-        temporaries: no second grid-sized array is made."""
+        temporaries, on one lane or two: no second grid-sized array is
+        made."""
         grid = FrequencyGrid.centered(1535.2e-9, 40e-9, n=1024)
-        tracemalloc.start()
-        try:
-            jsa = build_jsa(MODEL, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= jsa.amplitude.nbytes + 4e6
+        for lanes in (1, 2):
+            set_lanes(lanes)
+            tracemalloc.start()
+            try:
+                jsa = build_jsa(MODEL, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= jsa.amplitude.nbytes + 4e6, f"{lanes} lanes"
 
     def test_discarded_fraction_matches_extrapolated_tail(self):
         """With a short sinc^2 ridge the norm missing from a window halves
@@ -347,6 +351,137 @@ class TestAntidiagonalMarginal:
         assert np.allclose(density, expected, rtol=1e-13, atol=0)
 
 
+def same_bits(a, b) -> bool:
+    """a and b hold the same float64 or complex128 bits, signs of zero
+    included."""
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestBandLanes:
+    @pytest.mark.parametrize(
+        "n, band_rows",
+        [
+            pytest.param(2, [2], id="2pts"),
+            pytest.param(100, [100], id="100pts-below-one-band-height"),
+            pytest.param(300, [218, 82], id="300pts-not-a-multiple-of-the-band-height"),
+            pytest.param(1024, [64] * 16, id="1024pts"),
+        ],
+    )
+    def test_two_lanes_give_the_bits_of_one(self, set_lanes, n, band_rows):
+        """The JSA, its marginal, the difference table and |f|^2 have the
+        same bits on one lane and on two."""
+        assert [b.stop - b.start for b in spectral._row_bands(n, n)] == band_rows
+        # 0.1 nm steps resolve the pump bandwidth
+        grid = FrequencyGrid.centered(1535.2e-9, min(40e-9, n * 0.1e-9), n=n)
+        runs = []
+        for lanes in (1, 2):
+            set_lanes(lanes)
+            jsa = build_jsa(MODEL, grid)
+            amps = jointstate.post_select(jsa, SplitterResponse())
+            runs.append(
+                (
+                    jsa.amplitude,
+                    antidiagonal_marginal(jsa)[1],
+                    amps.difference_spectrum[1],
+                    jointstate._power(jsa.amplitude),
+                    np.array([jsa.discarded_fraction, amps.alpha, amps.norm_constant]),
+                )
+            )
+        for one, two in zip(*runs):
+            assert same_bits(one, two)
+
+    @staticmethod
+    def recording_work(calls, failing=None):
+        """A band function for _map_bands that records (band start,
+        thread) and raises on the band starting at ``failing``."""
+
+        def work():
+            def band(rows):
+                calls.append((rows.start, threading.get_ident()))
+                if rows.start == failing:
+                    raise ZeroDivisionError(f"band {failing}")
+                return rows.start
+
+            return band
+
+        return work
+
+    def test_bands_run_once_each_on_the_caller_and_one_helper(self, set_lanes):
+        """Each band is taken once, by the calling thread or one helper
+        thread, and the results come back in band order."""
+        set_lanes(2)
+        calls = []
+        bands = [slice(i, i + 1) for i in range(64)]
+        assert spectral._map_bands(self.recording_work(calls), bands) == list(range(64))
+        assert sorted(start for start, _ in calls) == list(range(64))
+        helpers = {thread for _, thread in calls} - {threading.get_ident()}
+        assert len(helpers) <= 1
+
+    def test_a_lane_that_stalls_leaves_its_bands_to_the_other(self, set_lanes):
+        """While the first band it took is held up, the other lane takes
+        every other band."""
+        set_lanes(2)
+        release = threading.Event()
+        calls = []
+
+        def work():
+            def band(rows):
+                calls.append((rows.start, threading.get_ident()))
+                if len(calls) == 1:  # the first band taken waits
+                    assert release.wait(timeout=10)
+                elif len(calls) == 8:  # the other lane has taken all the rest
+                    release.set()
+                return rows.start
+
+            return band
+
+        bands = [slice(i, i + 1) for i in range(8)]
+        assert spectral._map_bands(work, bands) == list(range(8))
+        stalled = calls[0][1]
+        assert all(thread != stalled for _, thread in calls[1:])
+
+    @pytest.mark.parametrize("failing", [2, 3], ids=["caller-lane", "helper-lane"])
+    def test_a_failing_band_raises_in_the_caller(self, set_lanes, failing):
+        """The exception of either lane reaches the caller, and the helper
+        thread has ended when it does."""
+        set_lanes(2)
+        before = threading.active_count()
+        bands = [slice(i, i + 1) for i in range(6)]
+        with pytest.raises(ZeroDivisionError, match=f"band {failing}"):
+            spectral._map_bands(self.recording_work([], failing), bands)
+        assert threading.active_count() == before
+
+    def test_one_lane_starts_no_thread(self, set_lanes, monkeypatch):
+        started = []
+        thread = threading.Thread
+
+        def spy(*args, **kwargs):
+            started.append(kwargs)
+            return thread(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.threading, "Thread", spy)
+        grid = FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)
+        set_lanes(1)
+        jsa = build_jsa(MODEL, grid)
+        antidiagonal_marginal(jsa)
+        jointstate.post_select(jsa, SplitterResponse()).difference_spectrum
+        assert started == []
+        set_lanes(2)
+        build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 10e-9, n=100))  # one band
+        assert started == []
+        build_jsa(MODEL, grid)
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("cpus, lanes", [({0}, 1), ({0, 1}, 2), ({0, 1, 2, 3}, 2)])
+    def test_lane_count_follows_the_cpu_affinity(self, monkeypatch, cpus, lanes):
+        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert spectral._lane_count() == lanes
+
+    def test_one_lane_without_cpu_affinity(self, monkeypatch):
+        monkeypatch.delattr(spectral.os, "sched_getaffinity", raising=False)
+        assert spectral._lane_count() == 1
+
+
 class TestApplyBandpass:
     def test_matches_outer_mask_on_rectangular_grid(self):
         """The cropped output is the window block of masking with the outer
@@ -415,18 +550,21 @@ class TestApplyBandpass:
         with pytest.raises(DomainError):
             apply_bandpass(jsa, 1535.2e-9, 0.0)
 
-    def test_crop_allocates_only_the_output(self):
+    def test_crop_allocates_only_the_output(self, set_lanes):
         """At 1024 points and a 36 nm window the band-pass holds the
-        922 x 922 output block and nothing grid-sized besides."""
+        922 x 922 output block and nothing grid-sized besides, on one lane
+        or two."""
         jsa = build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=1024))
-        tracemalloc.start()
-        try:
-            out = apply_bandpass(jsa, 1535.2e-9, 36e-9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.amplitude.shape == (922, 922)
-        assert peak <= out.amplitude.nbytes + 1e6
+        for lanes in (1, 2):
+            set_lanes(lanes)
+            tracemalloc.start()
+            try:
+                out = apply_bandpass(jsa, 1535.2e-9, 36e-9)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.amplitude.shape == (922, 922)
+            assert peak <= out.amplitude.nbytes + 1e6, f"{lanes} lanes"
 
     @pytest.mark.parametrize(
         "n, window, seed",
