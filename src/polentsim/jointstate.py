@@ -76,9 +76,8 @@ class PostSelectedAmplitudes:
         and has difference frequency (j - k) d_omega, so summing each
         diagonal j - k collapses the grid onto 2n - 1 terms, zero-padded to
         a K x B table with B the ceiling of sqrt(2n - 1).  The sum runs over
-        bands of rows, on two lanes where the process may use two CPUs
-        (see ``_map_bands``), so no grid-sized temporary is made.  Computed
-        on first use.
+        bands of rows, on the lanes of ``_map_bands``, so no grid-sized
+        temporary is made.  Computed on first use.
         """
         n = self.grid.n
         terms = 2 * n - 1
@@ -89,7 +88,7 @@ class PostSelectedAmplitudes:
         col_scale = np.sqrt(c.r_h * c.r_v)[:, None]
 
         def work():
-            cols_buf = np.empty(max(_SCRATCH_VALUES, n), dtype=complex)
+            cols_buf = np.empty(_SCRATCH_VALUES, dtype=complex)
 
             def fill(rows, band):
                 # band column k' holds grid row k = n - 1 - k' of f; the

@@ -284,13 +284,37 @@ def _row_bands(n_rows: int, width: int, values: int = _BAND_VALUES) -> list:
     return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
+#: The variables OpenBLAS and MKL take their thread counts from, the first
+#: one set winning; both read OMP_NUM_THREADS last.
+_BLAS_THREAD_VARIABLES = (
+    ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+)
+
+
+def _blas_on_one_thread() -> bool:
+    """Whether the environment sets BLAS to one thread: for OpenBLAS and
+    for MKL alike, the first of its variables that is set reads 1.
+
+    BLAS reads them when numpy loads it, so they have to be set before
+    numpy is imported.  A BLAS on more threads leaves a worker spinning
+    after each call, which takes the second CPU from a helper lane.
+    """
+    for names in _BLAS_THREAD_VARIABLES:
+        values = [os.environ[name] for name in names if os.environ.get(name)]
+        if not values or values[0].strip() != "1":
+            return False
+    return True
+
+
 def _lane_count() -> int:
-    """2 when this process may run on two or more CPUs, otherwise 1."""
+    """2 when this process may run on two or more CPUs and BLAS runs on
+    one thread, otherwise 1."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = 1
-    return 2 if cpus >= 2 else 1
+    return 2 if cpus >= 2 and _blas_on_one_thread() else 1
 
 
 def _map_bands(work, bands) -> list:
@@ -305,8 +329,10 @@ def _map_bands(work, bands) -> list:
     until none is left; NumPy releases the interpreter lock inside its
     loops, so the two overlap, and a lane that falls behind (its CPU
     taken by another process) leaves the rest of the bands to the other.
-    A band's result is made by the same operations on either lane.  The
-    helper is always joined, and an exception it raised is raised here.
+    A band's result is made by the same operations on either lane.  A
+    lane that raises leaves no band untaken, so the other stops after the
+    band it is on.  The helper is always joined, and an exception it
+    raised is raised here.
     """
     results = [None] * len(bands)
     lanes = min(_lane_count(), len(bands))
@@ -316,12 +342,18 @@ def _map_bands(work, bands) -> list:
 
     def run(lane):
         band = band_functions[lane]
-        while True:
-            with taking:
-                i = next(untaken, None)
-            if i is None:
-                return
-            results[i] = band(bands[i])
+        try:
+            while True:
+                with taking:
+                    i = next(untaken, None)
+                if i is None:
+                    return
+                results[i] = band(bands[i])
+        except BaseException:
+            with taking:  # the other lane stops after the band it is on
+                for _ in untaken:
+                    pass
+            raise
 
     if lanes == 1:
         run(0)
@@ -388,9 +420,8 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
     part sin x_s cos x_i + cos x_s sin x_i is the sinc numerator; only the
     pump Gaussian and one division are evaluated per cell.  Cells with |x|
     below _SINC_GUARD take sin(x)/x directly.  The grid is filled one band
-    of rows at a time, on two lanes where the process may use two CPUs
-    (see :func:`_map_bands`), and scaled once by the Riemann norm, the
-    bands' norms added in band order.
+    of rows at a time, on the lanes of :func:`_map_bands`, and scaled once
+    by the Riemann norm, the bands' norms added in band order.
 
     The discarded-norm fraction is the share of the whole plane's norm
     that falls outside the grid window.  |f|^2 = G(sigma)^2 sinc^2(x) with

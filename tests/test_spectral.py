@@ -427,9 +427,9 @@ class TestBandLanes:
         def work():
             def band(rows):
                 calls.append((rows.start, threading.get_ident()))
-                if len(calls) == 1:  # the first band taken waits
+                if rows.start == 0:
                     assert release.wait(timeout=10)
-                elif len(calls) == 8:  # the other lane has taken all the rest
+                elif rows.start == 7:  # the other lane has taken all the rest
                     release.set()
                 return rows.start
 
@@ -437,8 +437,35 @@ class TestBandLanes:
 
         bands = [slice(i, i + 1) for i in range(8)]
         assert spectral._map_bands(work, bands) == list(range(8))
-        stalled = calls[0][1]
-        assert all(thread != stalled for _, thread in calls[1:])
+        threads = dict(calls)
+        assert all(threads[start] != threads[0] for start in range(1, 8))
+
+    def test_a_failing_lane_leaves_the_other_no_new_band(self, set_lanes):
+        """When the helper's band raises, the caller finishes the band it
+        is on and takes no other."""
+        set_lanes(2)
+        caller = threading.get_ident()
+        failed = threading.Event()
+        helper = []
+        calls = []
+
+        def work():
+            def band(rows):
+                calls.append(rows.start)
+                if threading.get_ident() != caller:
+                    helper.append(threading.current_thread())
+                    failed.set()
+                    raise ZeroDivisionError("helper band")
+                assert failed.wait(timeout=10)
+                helper[0].join(timeout=10)  # the helper has stopped taking bands
+                return rows.start
+
+            return band
+
+        bands = [slice(i, i + 1) for i in range(16)]
+        with pytest.raises(ZeroDivisionError, match="helper band"):
+            spectral._map_bands(work, bands)
+        assert len(calls) <= 2
 
     @pytest.mark.parametrize("failing", [2, 3], ids=["caller-lane", "helper-lane"])
     def test_a_failing_band_raises_in_the_caller(self, set_lanes, failing):
@@ -472,14 +499,52 @@ class TestBandLanes:
         build_jsa(MODEL, grid)
         assert len(started) == 1
 
+    @staticmethod
+    def set_blas_threads(monkeypatch, **values):
+        """Set the BLAS thread variables named in ``values``, unset the rest."""
+        for names in spectral._BLAS_THREAD_VARIABLES:
+            for name in names:
+                if name in values:
+                    monkeypatch.setenv(name, values[name])
+                else:
+                    monkeypatch.delenv(name, raising=False)
+
     @pytest.mark.parametrize("cpus, lanes", [({0}, 1), ({0, 1}, 2), ({0, 1, 2, 3}, 2)])
     def test_lane_count_follows_the_cpu_affinity(self, monkeypatch, cpus, lanes):
+        self.set_blas_threads(monkeypatch, OMP_NUM_THREADS="1")
         monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: cpus, raising=False)
         assert spectral._lane_count() == lanes
 
     def test_one_lane_without_cpu_affinity(self, monkeypatch):
+        self.set_blas_threads(monkeypatch, OMP_NUM_THREADS="1")
         monkeypatch.delattr(spectral.os, "sched_getaffinity", raising=False)
         assert spectral._lane_count() == 1
+
+    @pytest.mark.parametrize(
+        "values, lanes",
+        [
+            pytest.param({}, 1, id="default-threads"),
+            pytest.param({"OMP_NUM_THREADS": "1"}, 2, id="omp-1"),
+            pytest.param({"OMP_NUM_THREADS": "2"}, 1, id="omp-2"),
+            pytest.param(
+                {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+                2,
+                id="all-1",
+            ),
+            pytest.param({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2, id="both-own-1"),
+            pytest.param({"OPENBLAS_NUM_THREADS": "1"}, 1, id="openblas-1-mkl-default"),
+            pytest.param({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1, id="openblas-4"),
+            pytest.param({"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1, id="mkl-2"),
+            pytest.param({"GOTO_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 2, id="goto-1"),
+            pytest.param({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2, id="empty-is-unset"),
+        ],
+    )
+    def test_two_lanes_only_with_one_blas_thread(self, monkeypatch, values, lanes):
+        """On two CPUs, two lanes need the environment to set OpenBLAS and
+        MKL alike to one thread."""
+        self.set_blas_threads(monkeypatch, **values)
+        monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert spectral._lane_count() == lanes
 
 
 class TestApplyBandpass:
