@@ -457,7 +457,8 @@ class TestBandLanes:
                     failed.set()
                     raise ZeroDivisionError("helper band")
                 assert failed.wait(timeout=10)
-                helper[0].join(timeout=10)  # the helper has stopped taking bands
+                helper[0].join(timeout=10)
+                assert not helper[0].is_alive()  # it has stopped taking bands
                 return rows.start
 
             return band
