@@ -29,7 +29,7 @@ from .spectral import (
     FrequencyGrid,
     JsaGrid,
     _antidiagonal_sums,
-    _band_rows,
+    _band_power,
     _map_bands,
     _row_bands,
 )
@@ -38,9 +38,9 @@ _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 
-#: Values in the scratch array each lane of the difference table and of
-#: |f|^2 holds: half a band, so that two lanes at a time stay within the
-#: working-set bounds of one.
+#: Values per column chunk of the difference table and per band of |f|^2:
+#: half a band, so that two lanes at a time stay within the working-set
+#: bounds of one.
 _SCRATCH_VALUES = 1 << 15
 
 
@@ -87,33 +87,28 @@ class PostSelectedAmplitudes:
         row_scale = np.sqrt(c.t_h * c.t_v)
         col_scale = np.sqrt(c.r_h * c.r_v)[:, None]
 
-        def work():
-            cols_buf = np.empty(_SCRATCH_VALUES, dtype=complex)
-
-            def fill(rows, band):
-                # band column k' holds grid row k = n - 1 - k' of f; the
-                # columns are made `step` at a time, so the scratch is small
-                r = rows.stop - rows.start
-                step = max(1, _SCRATCH_VALUES // r)
-                flipped = f[rows, ::-1]
-                for start in range(0, n, step):
-                    stop = min(start + step, n)
-                    # f[k, j] for the band's j, copied to rows of k: reading
-                    # the transpose of f in place would stride across the grid
-                    ks = slice(n - stop, n - start)
-                    cols = cols_buf[: (stop - start) * r].reshape(-1, r)
-                    np.multiply(f[ks, rows], col_scale[ks], out=cols)
-                    cols *= row_scale[rows]
-                    # with columns reversed, diagonal j - k is anti-diagonal
-                    # (j - j0) + (n - 1 - k) of the band
-                    part = band[:, start:stop]
-                    np.conjugate(flipped[:, start:stop], out=part)
-                    part *= cols[::-1].T
-
-            return fill
+        def fill(rows, band):
+            # band column k' holds grid row k = n - 1 - k' of f; the columns
+            # are made `step` at a time, so each chunk is small
+            r = rows.stop - rows.start
+            step = max(1, _SCRATCH_VALUES // r)
+            flipped = f[rows, ::-1]
+            for start in range(0, n, step):
+                stop = min(start + step, n)
+                # f[k, j] for the band's j, copied to rows of k: reading the
+                # transpose of f in place would stride across the grid
+                ks = slice(n - stop, n - start)
+                cols = f[ks, rows] * col_scale[ks]
+                cols *= row_scale[rows]
+                # with columns reversed, diagonal j - k is anti-diagonal
+                # (j - j0) + (n - 1 - k) of the band
+                part = band[:, start:stop]
+                np.conjugate(flipped[:, start:stop], out=part)
+                part *= cols[::-1].T
+                del cols  # freed before the next chunk is made
 
         weights = np.zeros(block * -(-terms // block), dtype=complex)
-        weights[:terms] = _antidiagonal_sums(n, n, work, dtype=complex)
+        weights[:terms] = _antidiagonal_sums(n, n, fill, dtype=complex)
         weights *= self.grid.cell / self.norm_constant
         table = weights.reshape(-1, block)
         table.flags.writeable = False  # shared cache
@@ -138,23 +133,15 @@ def _cross_path_weights(power, curves: SplitterCurves, cell: float):
 
 
 def _power(amplitude) -> np.ndarray:
-    """|f|^2 of a complex grid, re^2 + im^2, filled _SCRATCH_VALUES values
-    at a time on each lane (see ``_map_bands``); it has no sums, so the
-    size of its bands does not change a bit of it."""
+    """|f|^2 of a complex grid, re^2 + im^2, _SCRATCH_VALUES values per band
+    on the lanes of ``_map_bands``; it has no sums, so the size of its
+    bands does not change a bit of it."""
     n_rows, width = amplitude.shape
     power = np.empty((n_rows, width))
-
-    def work():
-        imag_sq = np.empty((_band_rows(n_rows, width, _SCRATCH_VALUES), width))
-
-        def fill(rows):
-            band = power[rows]
-            np.square(amplitude[rows].real, out=band)
-            band += np.square(amplitude[rows].imag, out=imag_sq[: len(band)])
-
-        return fill
-
-    _map_bands(work, _row_bands(n_rows, width, _SCRATCH_VALUES))
+    _map_bands(
+        lambda rows: _band_power(amplitude[rows], power[rows]),
+        _row_bands(n_rows, width, _SCRATCH_VALUES),
+    )
     return power
 
 

@@ -271,16 +271,10 @@ _BAND_VALUES = 1 << 16
 _SINC_GUARD = 0.05
 
 
-def _band_rows(n_rows: int, width: int, values: int = _BAND_VALUES) -> int:
-    """Rows in the first band of an n_rows x width grid: about ``values``
-    values, or the whole grid when it holds fewer."""
-    return min(n_rows, max(1, values // width))
-
-
 def _row_bands(n_rows: int, width: int, values: int = _BAND_VALUES) -> list:
-    """Slices of consecutive rows, _band_rows(n_rows, width, values) rows
-    each but the last."""
-    step = _band_rows(n_rows, width, values)
+    """Slices of consecutive rows holding about ``values`` values each (at
+    least one row each), the last band the rest."""
+    step = max(1, values // width)
     return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
@@ -317,31 +311,23 @@ def _lane_count() -> int:
     return 2 if cpus >= 2 and _blas_on_one_thread() else 1
 
 
-def _map_bands(work, bands) -> list:
-    """The result of each band in ``bands``, in band order.
+def _map_bands(band, bands) -> list:
+    """``band(rows)`` for each ``rows`` in ``bands``, in band order.
 
-    ``work()`` is called once per lane and returns the function that lane
-    applies to each band it takes, so that scratch it allocates is reused
-    from band to band.  It is called on the calling thread: the scratch
-    then comes from that thread's heap, and a helper thread leaves no
-    heap of its own holding freed scratch.  With two lanes the calling
-    thread and one helper thread each take the next band not yet taken
-    until none is left; NumPy releases the interpreter lock inside its
-    loops, so the two overlap, and a lane that falls behind (its CPU
-    taken by another process) leaves the rest of the bands to the other.
-    A band's result is made by the same operations on either lane.  A
-    lane that raises leaves no band untaken, so the other stops after the
-    band it is on.  The helper is always joined, and an exception it
-    raised is raised here.
+    With two lanes the calling thread and one helper thread each take the
+    next band not yet taken until none is left; NumPy releases the
+    interpreter lock inside its loops, so the two overlap, and a lane that
+    falls behind (its CPU taken by another process) leaves the rest of the
+    bands to the other.  A band's result is made by the same operations
+    on either lane.  A lane that raises leaves no band untaken, so the
+    other stops after the band it is on.  The helper is always joined, and
+    an exception it raised is raised here.
     """
     results = [None] * len(bands)
-    lanes = min(_lane_count(), len(bands))
-    band_functions = [work() for _ in range(lanes)]
     untaken = iter(range(len(bands)))
     taking = threading.Lock()
 
-    def run(lane):
-        band = band_functions[lane]
+    def run():
         try:
             while True:
                 with taking:
@@ -355,21 +341,21 @@ def _map_bands(work, bands) -> list:
                     pass
             raise
 
-    if lanes == 1:
-        run(0)
+    if min(_lane_count(), len(bands)) == 1:
+        run()
         return results
     failure = []
 
     def helper():
         try:
-            run(1)
+            run()
         except BaseException as exc:  # raised again on the calling thread
             failure.append(exc)
 
     thread = threading.Thread(target=helper, name="polentsim-band-lane")
     thread.start()
     try:
-        run(0)
+        run()
     finally:
         thread.join()
     if failure:
@@ -377,39 +363,38 @@ def _map_bands(work, bands) -> list:
     return results
 
 
-def _antidiagonal_sums(n_rows: int, width: int, work, dtype=float) -> np.ndarray:
+def _antidiagonal_sums(n_rows: int, width: int, fill, dtype=float) -> np.ndarray:
     """Sums along j + k of an n_rows x width grid, one band of rows at a time.
 
-    ``work()`` returns a ``fill(rows, band)`` that writes grid rows
-    ``rows`` into ``band``; it is called once per lane (see
-    :func:`_map_bands`).  A band of r rows is laid out at row length
-    width + r and read back at row length width + r - 1, which shifts row
-    i by i places and puts cell (i, k) in column i + k; the column sums
-    are then the band's anti-diagonal sums.  Each lane reuses one layout
-    buffer, and the bands' sums are added in band order.  No grid-sized
-    temporary or index array is made.
+    ``fill(rows, band)`` writes grid rows ``rows`` into ``band``; the bands
+    run on the lanes of :func:`_map_bands`.  A band of r rows is laid out
+    at row length width + r and read back at row length width + r - 1,
+    which shifts row i by i places and puts cell (i, k) in column i + k;
+    the column sums are then the band's anti-diagonal sums, and the bands'
+    sums are added in band order.  No grid-sized temporary or index array
+    is made.
     """
+
+    def band_sums(rows):
+        r = rows.stop - rows.start
+        flat = np.empty(r * (width + r), dtype=dtype)
+        layout = flat.reshape(r, width + r)
+        layout[:, width:] = 0
+        fill(rows, layout[:, :width])
+        skewed = flat[: r * (width + r - 1)].reshape(r, width + r - 1)
+        return skewed.sum(axis=0)
+
     bands = _row_bands(n_rows, width)
-    height = _band_rows(n_rows, width)
-
-    def lane():
-        fill = work()
-        flat = np.empty(height * (width + height), dtype=dtype)
-
-        def band_sums(rows):
-            r = rows.stop - rows.start
-            layout = flat[: r * (width + r)].reshape(r, width + r)
-            layout[:, width:] = 0
-            fill(rows, layout[:, :width])
-            skewed = flat[: r * (width + r - 1)].reshape(r, width + r - 1)
-            return skewed.sum(axis=0)
-
-        return band_sums
-
     sums = np.zeros(n_rows + width - 1, dtype=dtype)
-    for rows, band_sums in zip(bands, _map_bands(lane, bands)):
-        sums[rows.start : rows.stop + width - 1] += band_sums
+    for rows, band_sum in zip(bands, _map_bands(band_sums, bands)):
+        sums[rows.start : rows.stop + width - 1] += band_sum
     return sums
+
+
+def _band_power(f, out) -> None:
+    """Write |f|^2 = re^2 + im^2 of the complex band ``f`` into ``out``."""
+    np.square(f.real, out=out)
+    out += np.square(f.imag)
 
 
 def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
@@ -449,38 +434,24 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
     u = (axis - model.omega_pump_center / 2.0) / model.pump_bandwidth_omega
     phase_s, phase_i = np.exp(1j * x_s), np.exp(1j * x_i)
     amplitude = np.empty((grid.n, grid.n), dtype=complex)
-    bands = _row_bands(grid.n, grid.n)
-    height = _band_rows(grid.n, grid.n)
 
-    def work():
-        x_buf = np.empty((height, grid.n))
-        envelope_buf = np.empty((height, grid.n))
-        near_buf = np.empty((height, grid.n), dtype=bool)
-
-        def fill(rows):
-            """Write the band's unnormalized amplitude; return its norm."""
-            band = amplitude[rows]
-            r = rows.stop - rows.start
-            x, envelope = x_buf[:r], envelope_buf[:r]
-            np.multiply.outer(phase_s[rows], phase_i, out=band)
-            np.add.outer(x_s[rows], x_i, out=x)
-            near = np.flatnonzero(
-                np.less(np.abs(x, out=envelope), _SINC_GUARD, out=near_buf[:r])
-            )
-            x_near = x.flat[near]
-            x.flat[near] = 1.0  # no division by zero; these cells are set below
-            # Im(e^{i x_s} e^{i x_i}) is sin(x_s + x_i) by the angle-sum identity
-            np.divide(band.imag, x, out=envelope)
-            envelope.flat[near] = _sinc(x_near)
-            envelope *= _gaussian(np.add.outer(u[rows], u, out=x), out=x)
-            norm = float(np.vdot(envelope, envelope))
-            band *= envelope
-            return norm
-
-        return fill
+    def fill(rows):
+        """Write the band's unnormalized amplitude; return its norm."""
+        band = amplitude[rows]
+        np.multiply.outer(phase_s[rows], phase_i, out=band)
+        x = np.add.outer(x_s[rows], x_i)
+        near = np.flatnonzero(np.abs(x) < _SINC_GUARD)
+        x_near = x.flat[near]
+        x.flat[near] = 1.0  # no division by zero; these cells are set below
+        # Im(e^{i x_s} e^{i x_i}) is sin(x_s + x_i) by the angle-sum identity
+        envelope = np.divide(band.imag, x)
+        envelope.flat[near] = _sinc(x_near)
+        envelope *= _gaussian(np.add.outer(u[rows], u, out=x), out=x)
+        band *= envelope
+        return float(np.vdot(envelope, envelope))
 
     norm_in = 0.0
-    for band_norm in _map_bands(work, bands):
+    for band_norm in _map_bands(fill, _row_bands(grid.n, grid.n)):
         norm_in += band_norm
     norm_in *= grid.cell
     if not norm_in > 0:
@@ -544,17 +515,9 @@ def antidiagonal_marginal(jsa: JsaGrid):
     """
     grid = jsa.grid
     f = jsa.amplitude
-
-    def work():
-        imag_sq = np.empty((_band_rows(grid.n, grid.n), grid.n))
-
-        def fill(rows, band):
-            np.square(f[rows].real, out=band)
-            band += np.square(f[rows].imag, out=imag_sq[: rows.stop - rows.start])
-
-        return fill
-
-    density = _antidiagonal_sums(grid.n, grid.n, work)
+    density = _antidiagonal_sums(
+        grid.n, grid.n, lambda rows, band: _band_power(f[rows], band)
+    )
     sums = 2.0 * grid.start + np.arange(2 * grid.n - 1) * grid.d_omega
     return sums, density * grid.d_omega
 

@@ -4,6 +4,7 @@ import hashlib
 import os
 import tempfile
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -390,29 +391,18 @@ class TestBandLanes:
         for one, two in zip(*runs):
             assert same_bits(one, two)
 
-    @staticmethod
-    def recording_work(calls, failing=None):
-        """A band function for _map_bands that records (band start,
-        thread) and raises on the band starting at ``failing``."""
-
-        def work():
-            def band(rows):
-                calls.append((rows.start, threading.get_ident()))
-                if rows.start == failing:
-                    raise ZeroDivisionError(f"band {failing}")
-                return rows.start
-
-            return band
-
-        return work
-
     def test_bands_run_once_each_on_the_caller_and_one_helper(self, set_lanes):
         """Each band is taken once, by the calling thread or one helper
         thread, and the results come back in band order."""
         set_lanes(2)
         calls = []
+
+        def band(rows):
+            calls.append((rows.start, threading.get_ident()))
+            return rows.start
+
         bands = [slice(i, i + 1) for i in range(64)]
-        assert spectral._map_bands(self.recording_work(calls), bands) == list(range(64))
+        assert spectral._map_bands(band, bands) == list(range(64))
         assert sorted(start for start, _ in calls) == list(range(64))
         helpers = {thread for _, thread in calls} - {threading.get_ident()}
         assert len(helpers) <= 1
@@ -424,19 +414,16 @@ class TestBandLanes:
         release = threading.Event()
         calls = []
 
-        def work():
-            def band(rows):
-                calls.append((rows.start, threading.get_ident()))
-                if rows.start == 0:
-                    assert release.wait(timeout=10)
-                elif rows.start == 7:  # the other lane has taken all the rest
-                    release.set()
-                return rows.start
-
-            return band
+        def band(rows):
+            calls.append((rows.start, threading.get_ident()))
+            if rows.start == 0:
+                assert release.wait(timeout=10)
+            elif rows.start == 7:  # the other lane has taken all the rest
+                release.set()
+            return rows.start
 
         bands = [slice(i, i + 1) for i in range(8)]
-        assert spectral._map_bands(work, bands) == list(range(8))
+        assert spectral._map_bands(band, bands) == list(range(8))
         threads = dict(calls)
         assert all(threads[start] != threads[0] for start in range(1, 8))
 
@@ -449,34 +436,39 @@ class TestBandLanes:
         helper = []
         calls = []
 
-        def work():
-            def band(rows):
-                calls.append(rows.start)
-                if threading.get_ident() != caller:
-                    helper.append(threading.current_thread())
-                    failed.set()
-                    raise ZeroDivisionError("helper band")
-                assert failed.wait(timeout=10)
-                helper[0].join(timeout=10)
-                assert not helper[0].is_alive()  # it has stopped taking bands
-                return rows.start
-
-            return band
+        def band(rows):
+            calls.append(rows.start)
+            if threading.get_ident() != caller:
+                helper.append(threading.current_thread())
+                failed.set()
+                raise ZeroDivisionError("helper band")
+            assert failed.wait(timeout=10)
+            helper[0].join(timeout=10)
+            assert not helper[0].is_alive()  # it has stopped taking bands
+            return rows.start
 
         bands = [slice(i, i + 1) for i in range(16)]
         with pytest.raises(ZeroDivisionError, match="helper band"):
-            spectral._map_bands(work, bands)
+            spectral._map_bands(band, bands)
         assert len(calls) <= 2
 
-    @pytest.mark.parametrize("failing", [2, 3], ids=["caller-lane", "helper-lane"])
-    def test_a_failing_band_raises_in_the_caller(self, set_lanes, failing):
+    @pytest.mark.parametrize("caller_fails", [True, False], ids=["caller-lane", "helper-lane"])
+    def test_a_failing_band_raises_in_the_caller(self, set_lanes, caller_fails):
         """The exception of either lane reaches the caller, and the helper
-        thread has ended when it does."""
+        thread has ended when it does, also when it was still in a band."""
         set_lanes(2)
+        caller = threading.get_ident()
         before = threading.active_count()
+
+        def band(rows):
+            if (threading.get_ident() == caller) == caller_fails:
+                raise ZeroDivisionError(f"band {rows.start}")
+            time.sleep(0.2)  # the other lane raises meanwhile
+            return rows.start
+
         bands = [slice(i, i + 1) for i in range(6)]
-        with pytest.raises(ZeroDivisionError, match=f"band {failing}"):
-            spectral._map_bands(self.recording_work([], failing), bands)
+        with pytest.raises(ZeroDivisionError, match="band"):
+            spectral._map_bands(band, bands)
         assert threading.active_count() == before
 
     def test_one_lane_starts_no_thread(self, set_lanes, monkeypatch):
