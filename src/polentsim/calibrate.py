@@ -7,8 +7,8 @@ from dataclasses import replace
 
 from .dichroic import SplitterResponse, sample_on_grid
 from .errors import ConvergenceError, DomainError, UnidentifiableFitError
-from .jointstate import _cross_path_weights, _power
-from .spectral import JsaGrid
+from .jointstate import _cross_path_weights
+from .spectral import JsaGrid, _power
 
 
 def split_edges(template: SplitterResponse, split: float) -> SplitterResponse:

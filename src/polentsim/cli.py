@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -185,6 +186,17 @@ def cmd_tomo_simulate(args) -> int:
     return 0
 
 
+@contextmanager
+def _no_signal_in(path):
+    """A DomainError raised inside comes from a count table at ``path`` that
+    parses but holds no signal (no coincidence above its accidentals, or no
+    singles), so it ends as a fault of that file."""
+    try:
+        yield
+    except DomainError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def cmd_tomo_reconstruct(args) -> int:
     config = _load_config(args)
     table = tomography.read_count_table(args.counts)
@@ -193,9 +205,10 @@ def cmd_tomo_reconstruct(args) -> int:
         jointstate.read_density_matrix(args.reference) if args.reference else None
     )
     corrected = tomography.subtract_accidentals(table)
-    rho = tomography.mle_reconstruct(corrected)
+    with _no_signal_in(args.counts):
+        rho = tomography.mle_reconstruct(corrected)
+        report = metrics.state_report(rho, reference=reference, table=table)
     jointstate.write_density_matrix(_out_path(config, "rho.txt"), rho)
-    report = metrics.state_report(rho, reference=reference, table=table)
     for family in ("HV", "DD", "RL"):
         report += "visibility_%s %.12g\n" % (
             family,
@@ -217,7 +230,9 @@ def cmd_metrics(args) -> int:
         table = tomography.attach_accidentals(
             tomography.read_count_table(args.counts)
         )
-    sys.stdout.write(metrics.state_report(rho, reference=reference, table=table))
+    with _no_signal_in(args.counts):
+        report = metrics.state_report(rho, reference=reference, table=table)
+    sys.stdout.write(report)
     return 0
 
 

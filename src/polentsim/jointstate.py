@@ -25,23 +25,11 @@ from .errors import (
     UnidentifiableFitError,
     decode_errors_as,
 )
-from .spectral import (
-    FrequencyGrid,
-    JsaGrid,
-    _antidiagonal_sums,
-    _band_power,
-    _map_bands,
-    _row_bands,
-)
+from .spectral import FrequencyGrid, JsaGrid, _antidiagonal_sums, _power
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
-
-#: Values per column chunk of the difference table and per band of |f|^2:
-#: half a band, so that two lanes at a time stay within the working-set
-#: bounds of one.
-_SCRATCH_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -51,25 +39,28 @@ class PostSelectedAmplitudes:
     g = f outer(sqrt t_H, sqrt r_V) and h = f outer(sqrt r_H, sqrt t_V) are
     kept as the pair amplitude ``amplitude`` (shared with the JSA, never
     written) and the edge ``curves``.  ``norm_constant`` is the shared
-    normalization (the Riemann sum of |g|^2 + |h|^2);
-    ``neglected_fraction`` is the same-path probability dropped by
-    post-selection; ``alpha`` and ``beta`` are the diagonal weights, the
-    shares of |g|^2 and |h|^2 in the normalization.
+    normalization (the Riemann sum of |g|^2 + |h|^2); ``alpha`` and
+    ``beta`` are the diagonal weights, the shares of |g|^2 and |h|^2 in
+    the normalization.
     """
 
     amplitude: np.ndarray
     curves: SplitterCurves
     grid: FrequencyGrid
     norm_constant: float
-    neglected_fraction: float
     alpha: float
     beta: float
 
+    @property
+    def neglected_fraction(self) -> float:
+        """The same-path probability dropped by post-selection."""
+        return max(0.0, 1.0 - self.norm_constant)
+
     @cached_property
-    def difference_spectrum(self):
-        """(d_omega, table) with D(tau) the sum over (k1, k0) of
-        table[k1, k0] exp(i tau (k1 B + k0 - (n - 1)) d_omega), B =
-        table.shape[1].
+    def difference_spectrum(self) -> np.ndarray:
+        """The table with D(tau) the sum over (k1, k0) of table[k1, k0]
+        exp(i tau (k1 B + k0 - (n - 1)) d_omega), B = table.shape[1] and
+        d_omega the grid step.
 
         Cell (j, k) of the overlap h(omega_i, omega_s) conj(g(omega_s,
         omega_i)) is f[k, j] conj(f[j, k]) sqrt(t_H t_V)[j] sqrt(r_H r_V)[k]
@@ -88,31 +79,22 @@ class PostSelectedAmplitudes:
         col_scale = np.sqrt(c.r_h * c.r_v)[:, None]
 
         def fill(rows, band):
-            # band column k' holds grid row k = n - 1 - k' of f; the columns
-            # are made `step` at a time, so each chunk is small
-            r = rows.stop - rows.start
-            step = max(1, _SCRATCH_VALUES // r)
-            flipped = f[rows, ::-1]
-            for start in range(0, n, step):
-                stop = min(start + step, n)
-                # f[k, j] for the band's j, copied to rows of k: reading the
-                # transpose of f in place would stride across the grid
-                ks = slice(n - stop, n - start)
-                cols = f[ks, rows] * col_scale[ks]
-                cols *= row_scale[rows]
-                # with columns reversed, diagonal j - k is anti-diagonal
-                # (j - j0) + (n - 1 - k) of the band
-                part = band[:, start:stop]
-                np.conjugate(flipped[:, start:stop], out=part)
-                part *= cols[::-1].T
-                del cols  # freed before the next chunk is made
+            # band column k' holds grid row k = n - 1 - k' of f.  f[k, j] for
+            # the band's j is copied to rows of k: reading the transpose of
+            # f in place would stride across the grid
+            cols = f[::-1, rows] * col_scale[::-1]
+            cols *= row_scale[rows]
+            # with columns reversed, diagonal j - k is anti-diagonal
+            # (j - j0) + (n - 1 - k) of the band
+            np.conjugate(f[rows, ::-1], out=band)
+            band *= cols.T
 
         weights = np.zeros(block * -(-terms // block), dtype=complex)
-        weights[:terms] = _antidiagonal_sums(n, n, fill, dtype=complex)
+        weights[:terms] = _antidiagonal_sums(n, fill, dtype=complex)
         weights *= self.grid.cell / self.norm_constant
         table = weights.reshape(-1, block)
         table.flags.writeable = False  # shared cache
-        return self.grid.d_omega, table
+        return table
 
 
 def _cross_path_weights(power, curves: SplitterCurves, cell: float):
@@ -132,19 +114,6 @@ def _cross_path_weights(power, curves: SplitterCurves, cell: float):
     return weight_g / norm, weight_h / norm, norm
 
 
-def _power(amplitude) -> np.ndarray:
-    """|f|^2 of a complex grid, re^2 + im^2, _SCRATCH_VALUES values per band
-    on the lanes of ``_map_bands``; it has no sums, so the size of its
-    bands does not change a bit of it."""
-    n_rows, width = amplitude.shape
-    power = np.empty((n_rows, width))
-    _map_bands(
-        lambda rows: _band_power(amplitude[rows], power[rows]),
-        _row_bands(n_rows, width, _SCRATCH_VALUES),
-    )
-    return power
-
-
 def post_select(jsa: JsaGrid, splitter: SplitterResponse) -> PostSelectedAmplitudes:
     """Split the pair amplitude into the two cross-path terms."""
     curves = sample_on_grid(splitter, jsa.grid)
@@ -156,7 +125,6 @@ def post_select(jsa: JsaGrid, splitter: SplitterResponse) -> PostSelectedAmplitu
         curves=curves,
         grid=jsa.grid,
         norm_constant=norm,
-        neglected_fraction=float(max(0.0, 1.0 - norm)),
         alpha=alpha,
         beta=beta,
     )
@@ -180,7 +148,8 @@ def _coherence(amps: PostSelectedAmplitudes, tau, model=None) -> np.ndarray:
     if model is not None:
         tau = tau - model.time_offset
         scale = model.amplitude_scale
-    d_omega, table = amps.difference_spectrum
+    d_omega = amps.grid.d_omega
+    table = amps.difference_spectrum
     blocks, block = table.shape
     fine = np.exp(1j * np.multiply.outer(tau, np.arange(block) * d_omega))
     first = 1 - amps.grid.n

@@ -261,9 +261,11 @@ def _sinc(x):
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-#: Grid values per band of rows: the spectral kernels and the coherence
-#: table work on one band at a time, so no grid-sized temporary is made.
-_BAND_VALUES = 1 << 16
+#: Grid values per band of rows, for every band kernel: each works on one
+#: band at a time, so no grid-sized temporary is made, and two lanes' bands
+#: of the difference table, each with its whole-width column block, stay
+#: within 5 MB at 512 points.
+_BAND_VALUES = 3 << 14
 
 #: Below this |x| the sinc is sin(x)/x of the summed argument: the
 #: angle-sum numerator is exact to a few ulp of 1, which the division
@@ -271,11 +273,12 @@ _BAND_VALUES = 1 << 16
 _SINC_GUARD = 0.05
 
 
-def _row_bands(n_rows: int, width: int, values: int = _BAND_VALUES) -> list:
-    """Slices of consecutive rows holding about ``values`` values each (at
-    least one row each), the last band the rest."""
-    step = max(1, values // width)
-    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+def _row_bands(n: int) -> list:
+    """Slices of consecutive rows of an n x n grid holding about
+    _BAND_VALUES values each (at least one row each), the last band the
+    rest."""
+    step = max(1, _BAND_VALUES // n)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 #: The variables OpenBLAS and MKL take their thread counts from, the first
@@ -363,31 +366,31 @@ def _map_bands(band, bands) -> list:
     return results
 
 
-def _antidiagonal_sums(n_rows: int, width: int, fill, dtype=float) -> np.ndarray:
-    """Sums along j + k of an n_rows x width grid, one band of rows at a time.
+def _antidiagonal_sums(n: int, fill, dtype=float) -> np.ndarray:
+    """Sums along j + k of an n x n grid, one band of rows at a time.
 
     ``fill(rows, band)`` writes grid rows ``rows`` into ``band``; the bands
     run on the lanes of :func:`_map_bands`.  A band of r rows is laid out
-    at row length width + r and read back at row length width + r - 1,
-    which shifts row i by i places and puts cell (i, k) in column i + k;
-    the column sums are then the band's anti-diagonal sums, and the bands'
+    at row length n + r and read back at row length n + r - 1, which
+    shifts row i by i places and puts cell (i, k) in column i + k; the
+    column sums are then the band's anti-diagonal sums, and the bands'
     sums are added in band order.  No grid-sized temporary or index array
     is made.
     """
 
     def band_sums(rows):
         r = rows.stop - rows.start
-        flat = np.empty(r * (width + r), dtype=dtype)
-        layout = flat.reshape(r, width + r)
-        layout[:, width:] = 0
-        fill(rows, layout[:, :width])
-        skewed = flat[: r * (width + r - 1)].reshape(r, width + r - 1)
+        flat = np.empty(r * (n + r), dtype=dtype)
+        layout = flat.reshape(r, n + r)
+        layout[:, n:] = 0
+        fill(rows, layout[:, :n])
+        skewed = flat[: r * (n + r - 1)].reshape(r, n + r - 1)
         return skewed.sum(axis=0)
 
-    bands = _row_bands(n_rows, width)
-    sums = np.zeros(n_rows + width - 1, dtype=dtype)
+    bands = _row_bands(n)
+    sums = np.zeros(2 * n - 1, dtype=dtype)
     for rows, band_sum in zip(bands, _map_bands(band_sums, bands)):
-        sums[rows.start : rows.stop + width - 1] += band_sum
+        sums[rows.start : rows.stop + n - 1] += band_sum
     return sums
 
 
@@ -395,6 +398,18 @@ def _band_power(f, out) -> None:
     """Write |f|^2 = re^2 + im^2 of the complex band ``f`` into ``out``."""
     np.square(f.real, out=out)
     out += np.square(f.imag)
+
+
+def _power(amplitude) -> np.ndarray:
+    """|f|^2 of a complex n x n grid, one band at a time on the lanes of
+    :func:`_map_bands`; it has no sums, so its bits do not depend on the
+    bands."""
+    power = np.empty(amplitude.shape)
+    _map_bands(
+        lambda rows: _band_power(amplitude[rows], power[rows]),
+        _row_bands(len(amplitude)),
+    )
+    return power
 
 
 def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
@@ -451,7 +466,7 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
         return float(np.vdot(envelope, envelope))
 
     norm_in = 0.0
-    for band_norm in _map_bands(fill, _row_bands(grid.n, grid.n)):
+    for band_norm in _map_bands(fill, _row_bands(grid.n)):
         norm_in += band_norm
     norm_in *= grid.cell
     if not norm_in > 0:
@@ -515,9 +530,7 @@ def antidiagonal_marginal(jsa: JsaGrid):
     """
     grid = jsa.grid
     f = jsa.amplitude
-    density = _antidiagonal_sums(
-        grid.n, grid.n, lambda rows, band: _band_power(f[rows], band)
-    )
+    density = _antidiagonal_sums(grid.n, lambda rows, band: _band_power(f[rows], band))
     sums = 2.0 * grid.start + np.arange(2 * grid.n - 1) * grid.d_omega
     return sums, density * grid.d_omega
 

@@ -592,6 +592,47 @@ class TestTomoCommands:
         assert captured.out == ""
         assert captured.err == f"error[format]: {broken}:{message}\n"
 
+    @pytest.mark.parametrize(
+        "rows, commands, message",
+        [
+            (lambda c, acc, s: (0, *s), ["tomo-reconstruct"],
+             "need at least one positive projection value"),
+            (lambda c, acc, s: (min(c, int(acc)), *s), ["tomo-reconstruct"],
+             "need at least one positive projection value"),
+            (lambda c, acc, s: (c, 0, 0), ["tomo-reconstruct", "metrics"],
+             "no cross-polarized setting with positive accidentals"),
+        ],
+        ids=["no-coincidences", "coincidences-at-or-below-accidentals", "no-singles"],
+    )
+    def test_count_table_without_signal_exit_code(
+        self, config_path, tmp_path, capsys, rows, commands, message
+    ):
+        """A count table that parses but holds no signal is malformed data:
+        one error line naming the file, exit 4, and no rho.txt."""
+        out = tmp_path / "out"
+        run(["tomo", "simulate", "--config", config_path, "--out", str(out)])
+        lines = (out / "counts.txt").read_text().splitlines()
+        acquisition, gate = map(float, lines[0][1:].split())
+        for i, line in enumerate(lines[1:], start=1):
+            a, b, *counts = line.split()
+            c, s_a, s_b = map(int, counts)
+            changed = rows(c, s_a * s_b / (gate * acquisition), (s_a, s_b))
+            lines[i] = " ".join([a, b, *map(str, changed)])
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = {
+            "tomo-reconstruct": ["tomo", "reconstruct", "--config", config_path,
+                                 "--out", str(out)],
+            "metrics": ["metrics", "--matrix", str(out / "model_matrix.txt")],
+        }
+        for command in commands:
+            assert run([*argv[command], "--counts", str(empty)]) == 4, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error[format]: {empty}: {message}\n"
+        assert not (out / "rho.txt").exists()
+
 
 class TestMetricsCommand:
     def test_report(self, config_path, tmp_path, capsys):

@@ -170,6 +170,22 @@ class TestPostSelect:
             assert peak <= 5e6, f"{lanes} lanes"
             assert np.array_equal(jsa.amplitude, before)
 
+    def test_difference_table_holds_one_band_at_a_time(self, set_lanes):
+        """On one lane the 512-point difference table holds one band's
+        layout (0.93 MB) and column block (0.79 MB) and the ufuncs' fixed
+        buffers (0.39 MB), 2.2 MB in all: one more complex band-sized
+        temporary (0.79 MB) takes it past 2.5 MB, on every run."""
+        jsa = build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512))
+        set_lanes(1)
+        amps = post_select(jsa, SPLIT)
+        tracemalloc.start()
+        try:
+            amps.difference_spectrum
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
+
     def test_post_select_holds_one_power_grid(self, set_lanes):
         """At 1024 points post_select holds the real |f|^2 grid (n^2 * 8 B)
         and at most 1 MB besides, on one lane or two."""

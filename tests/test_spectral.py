@@ -358,20 +358,30 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def band_rows(n) -> list:
+    """Rows of each band of an n x n grid: full bands of _BAND_VALUES // n
+    rows, and the rest in a shorter last band."""
+    height = min(n, spectral._BAND_VALUES // n)
+    full, rest = divmod(n, height)
+    return [height] * full + [rest] * (rest > 0)
+
+
 class TestBandLanes:
     @pytest.mark.parametrize(
-        "n, band_rows",
+        "n, bands",
         [
-            pytest.param(2, [2], id="2pts"),
-            pytest.param(100, [100], id="100pts-below-one-band-height"),
-            pytest.param(300, [218, 82], id="300pts-not-a-multiple-of-the-band-height"),
-            pytest.param(1024, [64] * 16, id="1024pts"),
+            pytest.param(2, 1, id="2pts"),
+            pytest.param(100, 1, id="100pts-below-one-band-height"),
+            pytest.param(300, 2, id="300pts-not-a-multiple-of-the-band-height"),
+            pytest.param(1024, len(band_rows(1024)), id="1024pts"),
         ],
     )
-    def test_two_lanes_give_the_bits_of_one(self, set_lanes, n, band_rows):
+    def test_two_lanes_give_the_bits_of_one(self, set_lanes, n, bands):
         """The JSA, its marginal, the difference table and |f|^2 have the
         same bits on one lane and on two."""
-        assert [b.stop - b.start for b in spectral._row_bands(n, n)] == band_rows
+        rows = band_rows(n)
+        assert len(rows) == bands
+        assert [b.stop - b.start for b in spectral._row_bands(n)] == rows
         # 0.1 nm steps resolve the pump bandwidth
         grid = FrequencyGrid.centered(1535.2e-9, min(40e-9, n * 0.1e-9), n=n)
         runs = []
@@ -383,13 +393,67 @@ class TestBandLanes:
                 (
                     jsa.amplitude,
                     antidiagonal_marginal(jsa)[1],
-                    amps.difference_spectrum[1],
+                    amps.difference_spectrum,
                     jointstate._power(jsa.amplitude),
                     np.array([jsa.discarded_fraction, amps.alpha, amps.norm_constant]),
                 )
             )
         for one, two in zip(*runs):
             assert same_bits(one, two)
+
+    def test_band_results_are_added_in_band_order(self, set_lanes, monkeypatch):
+        """build_jsa adds its bands' norms, and the marginal its bands'
+        anti-diagonal sums, in band order, bit for bit.
+
+        A second build is handed the in-order total of the first build's
+        band norms as its first band's norm and zeros for the others, so
+        its discarded fraction is the in-order one whatever order it adds
+        in; the same with the sorted total shows that this grid tells the
+        two orders apart."""
+        set_lanes(2)
+        n = 1024
+        grid = FrequencyGrid.centered(1535.2e-9, 40e-9, n=n)
+        map_bands = spectral._map_bands
+        recorded = []
+
+        def recording(band, bands):
+            recorded.append(map_bands(band, bands))
+            return recorded[-1]
+
+        monkeypatch.setattr(spectral, "_map_bands", recording)
+        jsa = build_jsa(MODEL, grid)
+        _, density = antidiagonal_marginal(jsa)
+        norms, band_sums = recorded
+
+        def discarded(total):
+            def handing(band, bands):
+                map_bands(band, bands)
+                return [total] + [0.0] * (len(bands) - 1)
+
+            monkeypatch.setattr(spectral, "_map_bands", handing)
+            return build_jsa(MODEL, grid).discarded_fraction
+
+        def added(values):
+            # a plain left-to-right loop: sum() of floats compensates on
+            # Python 3.12 and later
+            total = 0.0
+            for value in values:
+                total += value
+            return total
+
+        in_order = discarded(added(norms))
+        assert jsa.discarded_fraction == in_order
+        assert discarded(added(sorted(norms))) != in_order
+
+        def marginal(order):
+            bands = spectral._row_bands(n)
+            sums = np.zeros(2 * n - 1)
+            for i in order:
+                sums[bands[i].start : bands[i].stop + n - 1] += band_sums[i]
+            return sums * grid.d_omega
+
+        assert same_bits(density, marginal(range(len(band_sums))))
+        assert not same_bits(density, marginal(reversed(range(len(band_sums)))))
 
     def test_bands_run_once_each_on_the_caller_and_one_helper(self, set_lanes):
         """Each band is taken once, by the calling thread or one helper
