@@ -24,7 +24,8 @@ from .errors import (
     FormatError,
     ResolutionError,
     SimulationError,
-    decode_errors_as,
+    UndefinedVisibilityError,
+    read_rows,
 )
 
 _CONFIG_ERRORS = (ConfigError, DomainError, ResolutionError)
@@ -188,12 +189,12 @@ def cmd_tomo_simulate(args) -> int:
 
 @contextmanager
 def _no_signal_in(path):
-    """A DomainError raised inside comes from a count table at ``path`` that
-    parses but holds no signal (no coincidence above its accidentals, or no
-    singles), so it ends as a fault of that file."""
+    """A DomainError or UndefinedVisibilityError raised inside comes from a
+    count table at ``path`` that parses but holds no signal, so it ends as
+    a fault of that file."""
     try:
         yield
-    except DomainError as exc:
+    except (DomainError, UndefinedVisibilityError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -208,12 +209,12 @@ def cmd_tomo_reconstruct(args) -> int:
     with _no_signal_in(args.counts):
         rho = tomography.mle_reconstruct(corrected)
         report = metrics.state_report(rho, reference=reference, table=table)
+        for family in ("HV", "DD", "RL"):
+            report += "visibility_%s %.12g\n" % (
+                family,
+                tomography.visibility(corrected, family),
+            )
     jointstate.write_density_matrix(_out_path(config, "rho.txt"), rho)
-    for family in ("HV", "DD", "RL"):
-        report += "visibility_%s %.12g\n" % (
-            family,
-            tomography.visibility(corrected, family),
-        )
     with open(_out_path(config, "metrics.txt"), "w", encoding="utf-8") as fh:
         fh.write(report)
     sys.stdout.write(report)
@@ -236,29 +237,10 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _read_observations(path):
-    observations = []
-    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 'tau_fs re_D im_D'")
-            try:
-                tau_fs, re, im = (float(p) for p in parts)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if not np.all(np.isfinite((tau_fs, re, im))):
-                raise FormatError(f"{path}:{lineno}: values must be finite")
-            observations.append((tau_fs * 1e-15, complex(re, im)))
-    return observations
-
-
 def cmd_fit(args) -> int:
     config = _load_config(args)
-    observations = _read_observations(args.observations)
+    rows = read_rows(args.observations, "tau_fs re_D im_D", (float, float, float))
+    observations = [(tau * 1e-15, complex(re, im)) for _, (tau, re, im) in rows]
     amps = _post_selected(config)
     window = (config["tau_min_fs"] * 1e-15, config["tau_max_fs"] * 1e-15)
     _check_alias_window(amps, window)

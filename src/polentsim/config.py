@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, field
 
 from .dichroic import SplitterResponse, read_transmission_table
-from .errors import ConfigError, decode_errors_as
+from .errors import ConfigError, numbered_lines
 from .spectral import FrequencyGrid, PdcModel
 
 _TRUE = {"true", "yes", "on", "1"}
@@ -72,21 +72,20 @@ _MAX_TAU_POINTS = 262_144
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines; unknown keys are an error."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(ConfigError, path):
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            parser, _ = SCHEMA[key]
-            try:
-                values[key] = parser(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+    for lineno, line in numbered_lines(path, ConfigError):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key not in SCHEMA:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        parser, _ = SCHEMA[key]
+        try:
+            values[key] = parser(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
 
 

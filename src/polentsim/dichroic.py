@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormatError, decode_errors_as
+from .errors import DomainError, FormatError, read_rows
 from .spectral import FrequencyGrid, omega_to_wavelength
 
 # logistic slope for a given 10-90 width
@@ -104,21 +104,9 @@ def sample_on_grid(resp: SplitterResponse, grid: FrequencyGrid) -> SplitterCurve
 
 def read_transmission_table(path) -> np.ndarray:
     """Read a two-column ``lambda_nm T`` table into an (n, 2) SI array."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'lambda_nm T'")
-            try:
-                lam_nm, t = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((lam_nm * 1e-9, t))
+    rows = read_rows(path, "lambda_nm T", (float, float))
+    table = np.array([values for _, values in rows]).reshape(-1, 2) * (1e-9, 1.0)
     try:
-        return _check_table(rows, str(path))
+        return _check_table(table, str(path))
     except DomainError as exc:
         raise FormatError(str(exc)) from exc

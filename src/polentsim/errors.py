@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by all simulation modules, and the UTF-8 guard
-of their file readers."""
+"""Exception hierarchy shared by all simulation modules, and the one reader
+of their line-oriented text data files."""
 
 from contextlib import contextmanager
+from math import isfinite
 
 
 class SimulationError(Exception):
@@ -57,13 +58,78 @@ class InvalidStateError(SimulationError):
 
 
 @contextmanager
-def decode_errors_as(error, path):
-    """Raise ``error`` for a byte in ``path`` that is not UTF-8 text.
+def text_file(path, error=FormatError):
+    """The file at ``path`` open as UTF-8 text; a byte that is not UTF-8
+    raises ``error`` naming the file, not a ``UnicodeDecodeError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
-    Wraps the reads of one text file, so an undecodable input ends in the
-    error category of that file instead of a ``UnicodeDecodeError``.
-    """
+
+def numbered_lines(path, error=FormatError):
+    """``(lineno, line)``, stripped, for each line of the text file at
+    ``path`` that is not blank."""
+    with text_file(path, error) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line := line.strip():
+                yield lineno, line
+
+
+def _column(kind, fields):
+    """``fields`` as values of ``kind``, or a ValueError: ``str`` keeps them;
+    ``int`` and ``float`` read ASCII numbers without ``_``, floats finite."""
+    if kind is str:
+        return fields
+    text = "".join(fields)
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    values = list(map(kind, fields))
+    if kind is float and not all(map(isfinite, values)):
+        raise ValueError("values must be finite")
+    return values
+
+
+def _parse_row(path, lineno, fields, form, kinds):
+    """The values of one row's ``fields`` (see :func:`read_rows`)."""
+    if len(fields) != len(kinds):
+        raise FormatError(f"{path}:{lineno}: expected '{form}'")
     try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        return tuple(_column(kind, (field,))[0] for kind, field in zip(kinds, fields))
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: {exc}") from exc
+
+
+def parse_header(path, lineno, line, form, kinds):
+    """The values of a header ``line``, ``#`` and the fields of ``form``."""
+    if not line.startswith("#"):
+        raise FormatError(f"{path}: missing header line '{form}'")
+    return _parse_row(path, lineno, line[1:].split(), form, kinds)
+
+
+def read_rows(path, form, kinds, header=None):
+    """``(lineno, values)`` for each row of the text data file at ``path``.
+
+    A row is a line of ``len(kinds)`` fields, read as ``kinds`` (``str``,
+    ``int`` or ``float``; ``form`` names them); blank lines and lines that
+    start with ``#`` are skipped.  Numbers are ASCII without ``_``, as
+    ``np.loadtxt`` reads them, and floats are finite.  With a ``header``
+    ``(form, kinds)``, the first line that is not blank is such a ``#``
+    line, and its row comes first.  A fault is a ``FormatError`` that starts
+    ``path:lineno:``, or ``path:`` for the file as a whole.
+    """
+    lines = numbered_lines(path)
+    rows = []
+    if header is not None:
+        lineno, line = next(lines, (0, ""))
+        rows.append((lineno, parse_header(path, lineno, line, *header)))
+    numbered = [(lineno, line.split()) for lineno, line in lines if line[0] != "#"]
+    table = [fields for _, fields in numbered]
+    try:  # a column at a time is fast; a fault is then found row by row
+        if any(len(fields) != len(kinds) for fields in table):
+            raise ValueError
+        values = list(zip(*(_column(k, c) for k, c in zip(kinds, zip(*table)))))
+    except ValueError:
+        values = [_parse_row(path, n, fields, form, kinds) for n, fields in numbered]
+    return rows + [(lineno, v) for (lineno, _), v in zip(numbered, values)]

@@ -23,7 +23,7 @@ from .errors import (
     InvalidStateError,
     NonphysicalCoherenceError,
     UnidentifiableFitError,
-    decode_errors_as,
+    read_rows,
 )
 from .spectral import FrequencyGrid, JsaGrid, _antidiagonal_sums, _power
 
@@ -382,25 +382,13 @@ def read_density_matrix(path) -> PolarizationDensityMatrix:
     """Read a matrix written by :func:`write_density_matrix`."""
     rho = np.zeros((4, 4), dtype=complex)
     seen = np.zeros((4, 4), dtype=bool)
-    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 'row col re im'")
-            try:
-                r, c = int(parts[0]), int(parts[1])
-                real, imag = float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if not (0 <= r < 4 and 0 <= c < 4) or seen[r, c]:
-                raise FormatError(f"{path}:{lineno}: bad or duplicate index")
-            if not (math.isfinite(real) and math.isfinite(imag)):
-                raise FormatError(f"{path}:{lineno}: values must be finite")
-            rho[r, c] = complex(real, imag)
-            seen[r, c] = True
+    for lineno, (r, c, real, imag) in read_rows(
+        path, "row col re im", (int, int, float, float)
+    ):
+        if not (0 <= r < 4 and 0 <= c < 4) or seen[r, c]:
+            raise FormatError(f"{path}:{lineno}: bad or duplicate index")
+        rho[r, c] = complex(real, imag)
+        seen[r, c] = True
     if not seen.all():
         raise FormatError(f"{path}: missing matrix entries")
     try:

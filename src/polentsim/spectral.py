@@ -23,7 +23,8 @@ from .errors import (
     EmptySupportError,
     FormatError,
     ResolutionError,
-    decode_errors_as,
+    parse_header,
+    text_file,
 )
 from .textfloat import format_pairs
 
@@ -612,22 +613,18 @@ def read_jsa(path) -> JsaGrid:
     parses the table's text.  Both give the same bits and pass the same
     checks.
     """
-    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise FormatError("missing JSA header line")
-        parts = header[1:].split()
-        if len(parts) != 6:
-            raise FormatError("JSA header needs 6 fields")
+    with text_file(path) as fh:
+        n_s, n_i, s_min, s_step, i_min, i_step = parse_header(
+            path, 1, fh.readline(), "# n_s n_i start_s step_s start_i step_i",
+            (int, int, float, float, float, float),
+        )
         try:
-            n_s, n_i = int(parts[0]), int(parts[1])
-            s_min, s_step, i_min, i_step = map(float, parts[2:])
             # the axis is derived lazily: a huge n allocates nothing here
             grid = FrequencyGrid(s_min, s_step, n_s)
-        except (ValueError, DomainError) as exc:
-            raise FormatError(f"JSA header: {exc}") from exc
+        except DomainError as exc:
+            raise FormatError(f"{path}:1: {exc}") from exc
         if (n_i, i_min, i_step) != (n_s, s_min, s_step):
-            raise FormatError("JSA signal and idler axes must be identical")
+            raise FormatError(f"{path}:1: signal and idler axes must be identical")
         values = _cached_pairs(path, n_s)
         if values is None:
             try:
@@ -635,22 +632,24 @@ def read_jsa(path) -> JsaGrid:
                     # a table of no rows is short, which the row count reports
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                     values = np.loadtxt(fh, dtype=float, ndmin=2)
+            except UnicodeDecodeError:
+                raise  # text_file's fault, the same as in the header
             except ValueError as exc:
-                raise FormatError(f"JSA table: {exc}") from exc
+                raise FormatError(f"{path}: {exc}") from exc
     if values.size and values.shape[1] != 2:
-        raise FormatError(f"expected 2 values per row, found {values.shape[1]}")
+        raise FormatError(f"{path}: expected 2 values per row, found {values.shape[1]}")
     if values.shape[0] != n_s * n_s:
         raise FormatError(
-            f"expected {n_s * n_s} complex rows, found {values.shape[0]}"
+            f"{path}: expected {n_s * n_s} complex rows, found {values.shape[0]}"
         )
     if not np.all(np.isfinite(values)):
-        raise FormatError("JSA table values must be finite")
+        raise FormatError(f"{path}: values must be finite")
     # a view keeps every bit, the sign of -0.0 included
     amp = values.view(complex).reshape(n_s, n_s)
     try:
         return JsaGrid(grid, amp)
     except DomainError as exc:
-        raise FormatError(f"JSA table: {exc}") from exc
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _cached_pairs(path, n):

@@ -20,7 +20,7 @@ from .errors import (
     DomainError,
     FormatError,
     UndefinedVisibilityError,
-    decode_errors_as,
+    read_rows,
 )
 from .jointstate import PolarizationDensityMatrix
 
@@ -320,64 +320,38 @@ def read_count_table(path) -> CountTable:
     with counts in [0, 2^63 - 1]."""
     counts = np.zeros((36, 3), dtype=np.int64)  # coincidences, singles a, b
     seen = np.zeros(36, dtype=bool)
-    acquisition_time = gate_rate = None
-    with open(path, "r", encoding="utf-8") as fh, decode_errors_as(FormatError, path):
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if acquisition_time is None:
-                    if len(parts) != 2:
-                        raise FormatError(
-                            f"{path}:{lineno}: header needs acquisition_s gate_rate_hz"
-                        )
-                    try:
-                        acquisition_time, gate_rate = map(float, parts)
-                    except ValueError as exc:
-                        raise FormatError(f"{path}:{lineno}: {exc}") from exc
-                    header = (acquisition_time, gate_rate)
-                    if not all(np.isfinite(v) and v > 0 for v in header):
-                        raise FormatError(
-                            f"{path}:{lineno}: acquisition time and gate rate "
-                            "must be positive and finite"
-                        )
-                    # attach_accidentals' largest quotient: two singles of 2^63 - 1
-                    with np.errstate(all="ignore"):
-                        worst = np.float64(2**63 - 1) ** 2 / (
-                            gate_rate * acquisition_time
-                        )
-                    if not np.isfinite(worst):
-                        raise FormatError(
-                            f"{path}:{lineno}: acquisition time times gate rate "
-                            "is too small for finite accidentals"
-                        )
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 'basisA basisB coincidences "
-                    "singlesA singlesB'"
-                )
-            try:
-                values = [int(p) for p in parts[2:]]
-                pair = (canonical_label(parts[0]), canonical_label(parts[1]))
-            except (ValueError, DomainError) as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            if not all(0 <= v < 2**63 for v in values):  # int64
-                raise FormatError(
-                    f"{path}:{lineno}: counts must lie in [0, 2^63 - 1]"
-                )
-            k = _PAIR_INDEX[pair]
-            if seen[k]:
-                raise FormatError(
-                    f"{path}:{lineno}: duplicate projection {pair[0]},{pair[1]}"
-                )
-            seen[k] = True
-            counts[k] = values
-    if acquisition_time is None:
-        raise FormatError(f"{path}: missing header line")
+    (lineno, (acquisition_time, gate_rate)), *rows = read_rows(
+        path,
+        "basisA basisB coincidences singlesA singlesB",
+        (str, str, int, int, int),
+        header=("# acquisition_s gate_rate_hz", (float, float)),
+    )
+    if not (acquisition_time > 0 and gate_rate > 0):
+        raise FormatError(
+            f"{path}:{lineno}: acquisition time and gate rate must be positive"
+        )
+    # attach_accidentals' largest quotient: two singles of 2^63 - 1
+    with np.errstate(all="ignore"):
+        worst = np.float64(2**63 - 1) ** 2 / (gate_rate * acquisition_time)
+    if not np.isfinite(worst):
+        raise FormatError(
+            f"{path}:{lineno}: acquisition time times gate rate "
+            "is too small for finite accidentals"
+        )
+    for lineno, (a, b, *values) in rows:
+        try:
+            pair = (canonical_label(a), canonical_label(b))
+        except DomainError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
+        if not all(0 <= v < 2**63 for v in values):  # int64
+            raise FormatError(f"{path}:{lineno}: counts must lie in [0, 2^63 - 1]")
+        k = _PAIR_INDEX[pair]
+        if seen[k]:
+            raise FormatError(
+                f"{path}:{lineno}: duplicate projection {pair[0]},{pair[1]}"
+            )
+        seen[k] = True
+        counts[k] = values
     if not seen.all():
         a, b = PROJECTION_PAIRS[int(np.argmin(seen))]
         raise FormatError(f"{path}: missing projection {a},{b}")

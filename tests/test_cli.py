@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line front-end."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polentsim
 from polentsim import jointstate, metrics
@@ -19,7 +24,7 @@ from polentsim.spectral import (
     build_jsa,
     read_jsa,
 )
-from polentsim.tomography import read_count_table
+from polentsim.tomography import PROJECTION_PAIRS, read_count_table
 from spectral_oracles import phase_matching, pump_envelope
 
 CONFIG_TEXT = (
@@ -251,7 +256,7 @@ class TestSweepCommand:
         assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error[format]: expected 2 values per row, found {found}\n"
+        assert captured.err == f"error[format]: {jsa}: expected 2 values per row, found {found}\n"
 
     @pytest.mark.parametrize("rest", ["", "# no rows\n\n"], ids=["header-only", "comment-only"])
     def test_table_without_rows_exit_code(self, config_path, tmp_path, rest):
@@ -277,16 +282,16 @@ class TestSweepCommand:
         )
         assert done.returncode == 4
         assert done.stdout == ""
-        assert done.stderr == "error[format]: expected 65536 complex rows, found 0\n"
+        assert done.stderr == f"error[format]: {jsa}: expected 65536 complex rows, found 0\n"
 
     @pytest.mark.parametrize("command", ["sweep", "jsa"])
     @pytest.mark.parametrize(
-        "rows",
-        ["1500 0.1\n1535 nan\n1570 0.9\n", "1570 0.9\n1500 0.1\n",
-         "1500 0.1\n1570 1.5\n"],
+        "rows, where",
+        [("1500 0.1\n1535 nan\n1570 0.9\n", ":2: "), ("1570 0.9\n1500 0.1\n", ": "),
+         ("1500 0.1\n1570 1.5\n", ": ")],
         ids=["nan-value", "unsorted", "above-one"],
     )
-    def test_bad_splitter_table_exit_code(self, tmp_path, capsys, rows, command):
+    def test_bad_splitter_table_exit_code(self, tmp_path, capsys, rows, where, command):
         table = tmp_path / "edge_h.txt"
         table.write_text(rows)
         cfg = tmp_path / "run.cfg"
@@ -295,7 +300,7 @@ class TestSweepCommand:
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error[format]: {table}: ")
+        assert captured.err.startswith(f"error[format]: {table}{where}")
         assert len(captured.err.splitlines()) == 1
 
     def test_oversized_tau_points_exit_code(self, tmp_path, capsys, monkeypatch):
@@ -633,6 +638,29 @@ class TestTomoCommands:
             assert captured.err == f"error[format]: {empty}: {message}\n"
         assert not (out / "rho.txt").exists()
 
+    def test_family_without_counts_exit_code(self, config_path, tmp_path, capsys):
+        """A count table whose H/V family holds no coincidences leaves its
+        visibility undefined: one error line naming the file, exit 4, and
+        no rho.txt."""
+        out = tmp_path / "out"
+        run(["tomo", "simulate", "--config", config_path, "--out", str(out)])
+        lines = (out / "counts.txt").read_text().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            a, b, _, s_a, s_b = line.split()
+            if {a, b} <= {"H", "V"}:
+                lines[i] = " ".join([a, b, "0", s_a, s_b])
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["tomo", "reconstruct", "--config", config_path,
+                    "--out", str(out), "--counts", str(empty)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[format]: {empty}: family HV has no counts\n"
+        assert not (out / "rho.txt").exists()
+        assert not (out / "metrics.txt").exists()
+
 
 class TestMetricsCommand:
     def test_report(self, config_path, tmp_path, capsys):
@@ -821,33 +849,276 @@ class TestFitCommand:
         assert capsys.readouterr().err.startswith("error[format]:")
 
 
+#: Each input file's command: argv and config line, ``{bad}`` the file.
+INPUT_FILES = {
+    "jsa": (["sweep"], "jsa_file = {bad}"),
+    "splitter-table": (["sweep"], "splitter_table_h = {bad}"),
+    "count-table": (["tomo", "reconstruct", "--counts", "{bad}"], ""),
+    "density-matrix": (["metrics", "--matrix", "{bad}"], None),
+    "observations": (["fit", "--observations", "{bad}"], ""),
+    "config": (["sweep", "--config", "{bad}"], None),
+}
+
+
+def input_file_argv(kind, bad, tmp_path):
+    """The command that reads the input file ``bad`` of ``kind``."""
+    argv, config_line = INPUT_FILES[kind]
+    argv = [arg.format(bad=bad) for arg in argv]
+    if config_line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT + config_line.format(bad=bad) + "\n")
+        argv += ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    return argv
+
+
+def _flat_jsa_text(n=16):
+    """A JSA table without a sidecar: a flat normalized amplitude on an
+    n-point grid over the configured filter window."""
+    grid = FrequencyGrid.centered(1535.2e-9, 40e-9, n)
+    head = "# %d %d %.17g %.17g %.17g %.17g\n" % (
+        n, n, grid.start, grid.d_omega, grid.start, grid.d_omega
+    )
+    return head + ("%.17g 0\n" % (1.0 / (n * grid.d_omega))) * (n * n)
+
+
+#: A valid file of each kind (the JSA table without a sidecar), and the
+#: line and field the faults below replace.
+VALID_FILES = {
+    "jsa": (_flat_jsa_text(), 3, 0),
+    "jsa-header": (_flat_jsa_text(), 1, 3),
+    "splitter-table": ("# lambda_nm T\n1500 0.1\n1535 0.5\n1570 0.9\n", 3, 1),
+    "count-table": (
+        "# 120 1900000\n"
+        + "".join(f"{a} {b} 10 870 870\n" for a, b in PROJECTION_PAIRS),
+        3, 2,
+    ),
+    "density-matrix": (
+        "".join(f"{r} {c} {0.25 * (r == c)} 0\n" for r in range(4) for c in range(4)),
+        6, 2,
+    ),
+    "observations": ("0 0.3 0.1\n25.9 0.35 0.05\n", 2, 1),
+}
+
+
 class TestUndecodableInput:
     @pytest.mark.parametrize(
-        "argv, config_line, category, code",
-        [(["sweep"], "jsa_file = {bad}", "format", 4),
-         (["sweep"], "splitter_table_h = {bad}", "format", 4),
-         (["tomo", "reconstruct", "--counts", "{bad}"], "", "format", 4),
-         (["metrics", "--matrix", "{bad}"], None, "format", 4),
-         (["fit", "--observations", "{bad}"], "", "format", 4),
-         (["sweep", "--config", "{bad}"], None, "config", 2)],
+        "kind, category, code",
+        [("jsa", "format", 4), ("splitter-table", "format", 4),
+         ("count-table", "format", 4), ("density-matrix", "format", 4),
+         ("observations", "format", 4), ("config", "config", 2)],
         ids=["jsa", "splitter-table", "count-table", "density-matrix",
              "observations", "config"],
     )
-    def test_non_utf8_byte_is_one_error_line(
-        self, tmp_path, capsys, argv, config_line, category, code
-    ):
+    def test_non_utf8_byte_is_one_error_line(self, tmp_path, capsys, kind, category, code):
         """A 0xff byte in any input file ends in the file's error category,
         not in a UnicodeDecodeError traceback."""
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"0 0\n\xff\n")
-        argv = [arg.format(bad=bad) for arg in argv]
-        if config_line is not None:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(CONFIG_TEXT + config_line.format(bad=bad) + "\n")
-            argv += ["--config", str(cfg), "--out", str(tmp_path / "out")]
-        assert run(argv) == code
+        assert run(input_file_argv(kind, bad, tmp_path)) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             f"error[{category}]: {bad}: not UTF-8 text (invalid start byte)\n"
         )
+
+    def test_non_utf8_byte_deep_in_a_jsa_table(self, tmp_path, capsys):
+        """A 0xff byte that np.loadtxt meets, past the header's first block
+        of text, ends as the same fault as one in the header."""
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(_flat_jsa_text(32).encode() + b"\xff\n")
+        assert run(input_file_argv("jsa", bad, tmp_path)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[format]: {bad}: not UTF-8 text (invalid start byte)\n"
+        )
+
+    @pytest.mark.parametrize("kind", list(VALID_FILES))
+    def test_valid_file_runs(self, tmp_path, capsys, kind):
+        """The files the faults below start from are read without error."""
+        text, _, _ = VALID_FILES[kind]
+        good = tmp_path / "good.txt"
+        good.write_text(text)
+        assert run(input_file_argv(kind.removesuffix("-header"), good, tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["abc", "nan", "inf", "1_500", "\u0661\u0665\u0660\u0660", "width"],
+        ids=["non-numeric", "nan", "inf", "underscore", "arabic-indic", "width"],
+    )
+    @pytest.mark.parametrize("kind", list(VALID_FILES))
+    def test_bad_field_is_one_error_line(self, tmp_path, capsys, kind, fault):
+        """Every data file meets the same fault with the same answer: one
+        error[format] line that names the file, and its line where the
+        file's own reader reads it (all but np.loadtxt's JSA body), exit 4."""
+        text, line, field = VALID_FILES[kind]
+        lines = text.splitlines()
+        fields = lines[line - 1].split()
+        if fault == "width":
+            fields.append("0")
+        else:
+            fields[field + (fields[0] == "#")] = fault
+        lines[line - 1] = " ".join(fields)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(input_file_argv(kind.removesuffix("-header"), bad, tmp_path)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        where = ": " if kind == "jsa" else f":{line}: "
+        assert captured.err.startswith(f"error[format]: {bad}{where}")
+        assert len(captured.err.splitlines()) == 1
+
+
+#: The fuzzed runs' configuration; FUZZ_GRID follows every mutated copy,
+#: so that no mutation can raise the grid or the sweep.
+FUZZ_CONFIG = (
+    "edge_h_nm = 1533.55\n"
+    "edge_v_nm = 1536.85\n"
+    "delay_fs = 25.9\n"
+    "acquisition_s = 120\n"
+    "singles_rate_hz = 870\n"
+    "background_b = 0.0125\n"
+    "seed = 7\n"
+)
+FUZZ_GRID = "\ngrid_points = 48\nfilter_width_nm = 8\ntau_points = 21\n"
+
+#: Fields a mutation puts in a file, drawn first from the faults the
+#: readers must meet.
+_FIELDS = st.one_of(
+    st.sampled_from(
+        ["nan", "inf", "-inf", "1_500", "١٥٠٠", "", "#", "x",
+         "=", "0", "-0", "-1", "0.5", "1e400", "1e-400", "1e308", str(2**63 - 1),
+         str(2**63), "H", "D+"]
+    ),
+    st.integers(-(2**70), 2**70).map(str),
+    st.integers(0, 2**63 - 1).map(str),
+    st.floats().map(repr),
+    st.floats(-2, 2).map(repr),
+    st.text(max_size=4),
+)
+
+#: (operation, line or byte position, field or byte / 25, new field) of one
+#: mutation.
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "drop", "repeat", "insert", "truncate", "byte"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10),
+        _FIELDS,
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+def _mutate(text, mutations) -> bytes:
+    """The bytes of ``text`` after ``mutations``: edits of its lines, ended
+    by the first cut of the text or byte put into it."""
+    lines = text.split("\n")
+    data = None
+    for op, where, field, new in mutations:
+        if data is not None:
+            break
+        i = where % len(lines)
+        if op == "replace":
+            fields = lines[i].split() or [""]
+            fields[field % len(fields)] = new
+            lines[i] = " ".join(fields)
+        elif op == "drop":
+            del lines[i]
+            lines = lines or [""]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "insert":
+            lines.insert(i, new)
+        else:
+            data = "\n".join(lines).encode()
+            cut = where % (len(data) + 1)
+            data = data[:cut] + (bytes([25 * field]) + data[cut:] if op == "byte" else b"")
+    return data if data is not None else "\n".join(lines).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Valid files of every kind on a 48-point grid, as text."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = root / "run.cfg"
+    cfg.write_text(FUZZ_CONFIG + FUZZ_GRID)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["jsa", "--config", str(cfg), "--out", str(root)]) == 0
+        assert main(["tomo", "simulate", "--config", str(cfg), "--out", str(root)]) == 0
+    lam_nm = np.linspace(1500.0, 1570.0, 15)
+    splitter = "".join(
+        "%.17g %.17g\n" % (lam, 1 / (1 + np.exp(-(lam - 1535.2))))
+        for lam in lam_nm
+    )
+    return {
+        "config": FUZZ_CONFIG,
+        "jsa": (root / "jsa.txt").read_text(),
+        "splitter-table": "# lambda_nm T\n" + splitter,
+        "count-table": (root / "counts.txt").read_text(),
+        "density-matrix": (root / "model_matrix.txt").read_text(),
+        "observations": "0 0.3 0.1\n25.9 0.35 0.05\n-30 0.2 0.02\n",
+    }
+
+
+def _fuzz_argv(kind, path, root, files):
+    """The command that reads the mutated file at ``path`` of ``kind``,
+    with valid files of the other kinds in ``root``."""
+    for other in ("count-table", "density-matrix"):
+        (root / other).write_text(files[other])
+    lines = {"jsa": f"jsa_file = {path}\n", "splitter-table": f"splitter_table_h = {path}\n"}
+    cfg = root / "run.cfg"
+    if kind == "config":
+        cfg = path
+    else:
+        cfg.write_text(FUZZ_CONFIG + lines.get(kind, "") + FUZZ_GRID)
+    common = ["--config", str(cfg), "--out", str(root / "out")]
+    return {
+        "config": ["tomo", "simulate", *common],
+        "jsa": ["sweep", *common, "--delay-fs=0,25.9"],
+        "splitter-table": ["sweep", *common, "--delay-fs=0,25.9"],
+        "count-table": ["tomo", "reconstruct", *common, "--counts", str(path),
+                        "--reference", str(root / "density-matrix")],
+        "density-matrix": ["metrics", "--matrix", str(path),
+                           "--reference", str(root / "density-matrix"),
+                           "--counts", str(root / "count-table")],
+        "observations": ["fit", *common, "--observations", str(path)],
+    }[kind]
+
+
+class TestFuzzedInput:
+    @pytest.mark.parametrize(
+        "kind",
+        ["config", "jsa", "splitter-table", "count-table", "density-matrix",
+         "observations"],
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(mutations=_MUTATIONS)
+    def test_mutated_file_ends_cleanly(self, fuzz_files, kind, mutations):
+        """A mutated input file ends in exit 0 with finite output, or in one
+        error line with a documented exit code; never in a traceback.  The
+        JSA table has no sidecar, so its text is parsed."""
+        data = _mutate(fuzz_files[kind], mutations)
+        if kind == "config":
+            data += FUZZ_GRID.encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            path = root / "mutated.txt"
+            path.write_bytes(data)
+            argv = _fuzz_argv(kind, path, root, fuzz_files)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3, 4)
+        errors = err.getvalue().splitlines()
+        assert len(errors) == (code != 0)
+        if code:
+            assert errors[0].startswith("error[") and out.getvalue() == ""
+        for token in out.getvalue().split():
+            try:
+                value = float(token)
+            except ValueError:
+                continue
+            assert np.isfinite(value), out.getvalue()

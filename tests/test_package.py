@@ -49,6 +49,45 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _opens_text_for_reading(call):
+    """Whether ``call`` is ``open``/``.open``/``.read_text`` of a text file
+    for reading: no mode, or a mode without b, w, a, x or +."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name == "read_text":
+        return True
+    if name != "open":
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return True
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and set(mode.value) & set("bwax+"))
+
+
+def test_text_files_are_read_by_the_shared_reader():
+    """Only the shared reader in errors.py opens a text file for reading,
+    and only it and read_jsa call its opener ``text_file``, so that every
+    data file meets one number grammar and one error form."""
+    readers = set()
+    for path in sorted((Path(polentsim.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}  # node -> the innermost function that holds it
+        for func in ast.walk(tree):  # outer functions come first
+            if isinstance(func, ast.FunctionDef):
+                scopes.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                _opens_text_for_reading(node)
+                or getattr(node.func, "id", None) in ("text_file", "decode_errors_as")
+            ):
+                readers.add((path.name, scopes.get(node, "<module>"), ast.unparse(node.func)))
+    assert readers == {
+        ("errors.py", "text_file", "open"),
+        ("errors.py", "numbered_lines", "text_file"),
+        ("spectral.py", "read_jsa", "text_file"),
+    }
+
+
 def test_benchmark_names_exist():
     """Every package name the benchmark reaches exists: attributes of the
     polentsim modules that perfbench imports, names it imports from them,

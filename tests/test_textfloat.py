@@ -70,7 +70,8 @@ def _read(body):
     """read_jsa on a table of 2 points with no sidecar, whose text after
     the header is ``body``: the rows np.loadtxt read for it (None when it
     could not read them) and the FormatError it raised (None when it
-    returned). Rows that are not a normalized 2 x 2 amplitude end in a
+    returned), whose message names the table and is here given without
+    it. Rows that are not a normalized 2 x 2 amplitude end in a
     FormatError after they are read."""
     with tempfile.TemporaryDirectory() as tmp, _loadtxt_results() as results:
         path = os.path.join(tmp, "jsa.txt")
@@ -80,7 +81,8 @@ def _read(body):
             read_jsa(path)
             error = None
         except FormatError as exc:
-            error = exc
+            assert str(exc).startswith(f"{path}: ")
+            error = FormatError(str(exc).removeprefix(f"{path}: "))
     return (results[0] if results else None), error
 
 
@@ -232,7 +234,7 @@ class TestParsePairs:
         rows, error = _read(b"1.25 2.5\n" * 4 + body)
         if last is None:
             assert rows is None
-            assert str(error).startswith("JSA table: the number of columns changed from 2")
+            assert str(error).startswith("the number of columns changed from 2")
         else:
             assert rows.tolist() == [[1.25, 2.5]] * 4 + [last] * (last != [])
 
@@ -262,7 +264,7 @@ class TestParsePairs:
                 assert not np.isfinite(rows).all()
             else:
                 assert rows is None
-                assert str(error).startswith(f"JSA table: could not convert string {token!r}")
+                assert str(error).startswith(f"could not convert string {token!r}")
 
 
 def _percent_text(values):
