@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import jointstate, metrics, spectral, tomography
-from .config import RunConfig
+from .config import RunConfig, parse_value
 from .errors import (
     ConfigError,
     DomainError,
@@ -25,6 +25,7 @@ from .errors import (
     ResolutionError,
     SimulationError,
     UndefinedVisibilityError,
+    parse_fields,
     read_rows,
 )
 
@@ -39,14 +40,23 @@ def _error_category(exc: SimulationError):
     return "numeric", 3
 
 
+#: flag -> the configuration key it overrides
+_FLAG_KEYS = {"seed": "seed", "out": "out_dir", "background": "background_b"}
+
+
 def _load_config(args) -> RunConfig:
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "background", None) is not None:
-        overrides["background_b"] = args.background
+    """The ``--config`` file's values under the flags that override them;
+    ``--degrade S,O`` overrides ``degrade_scale`` and ``degrade_offset_fs``."""
+    texts = [(key, f"--{flag}", getattr(args, flag, None))
+             for flag, key in _FLAG_KEYS.items()]
+    if getattr(args, "degrade", None) is not None:
+        parts = args.degrade.split(",")
+        if len(parts) != 2:
+            raise ConfigError("--degrade expects SCALE,OFFSET_FS")
+        texts += zip(("degrade_scale", "degrade_offset_fs"), ("--degrade",) * 2, parts)
+    overrides = {
+        key: parse_value(key, text, flag) for key, flag, text in texts if text is not None
+    }
     return RunConfig.load(args.config, overrides)
 
 
@@ -56,28 +66,12 @@ def _out_path(config: RunConfig, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _parse_degrade(text: str) -> jointstate.DegradationModel:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError("--degrade expects SCALE,OFFSET_FS")
-    try:
-        scale, offset_fs = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"--degrade: {exc}") from exc
-    return jointstate.DegradationModel(
-        amplitude_scale=scale, time_offset=offset_fs * 1e-15
-    )
-
-
 def _parse_delays(text: str) -> np.ndarray:
     """Sorted, de-duplicated ``--delay-fs`` list, in seconds."""
     try:
-        delays_fs = np.unique([float(part) for part in text.split(",")])
+        return np.unique(parse_fields(float, text.split(","))) * 1e-15
     except ValueError as exc:
         raise ConfigError(f"--delay-fs: {exc}") from exc
-    if not np.all(np.isfinite(delays_fs)):
-        raise ConfigError("--delay-fs: delays must be finite")
-    return delays_fs * 1e-15
 
 
 def _check_alias_window(amps, taus, model=None) -> None:
@@ -92,17 +86,6 @@ def _check_alias_window(amps, taus, model=None) -> None:
             "delay %.6g fs is beyond the grid's alias window |tau - t0| < %.6g fs;"
             " raise grid_points" % (taus[worst] * 1e15, limit * 1e15)
         )
-
-
-def _degradation(args, config: RunConfig):
-    if getattr(args, "degrade", None) is not None:
-        return _parse_degrade(args.degrade)
-    if config["degrade_scale"] is not None:
-        return jointstate.DegradationModel(
-            amplitude_scale=config["degrade_scale"],
-            time_offset=config["degrade_offset_fs"] * 1e-15,
-        )
-    return None
 
 
 def _build_jsa(config: RunConfig) -> spectral.JsaGrid:
@@ -137,7 +120,7 @@ def cmd_sweep(args) -> int:
             config["tau_max_fs"] * 1e-15,
             config["tau_points"],
         )
-    model = _degradation(args, config)
+    model = config.degradation()
     _check_alias_window(amps, taus, model)
     sweep = jointstate.sweep_at(amps, taus, model)
     path = _out_path(config, "sweep.txt")
@@ -162,7 +145,7 @@ def cmd_tomo_simulate(args) -> int:
     config = _load_config(args)
     if not config["gate_rate_hz"] > 0:
         raise ConfigError("gate_rate_hz must be positive")
-    rho = _model_state(config, _degradation(args, config))
+    rho = _model_state(config, config.degradation())
     jointstate.write_density_matrix(_out_path(config, "model_matrix.txt"), rho)
     pair_rate = config["pair_rate_hz"]
     if pair_rate is None:
@@ -267,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--seed", type=int, help="random seed override")
+        p.add_argument("--seed", help="random seed override")
         p.add_argument("--out", help="output directory override")
 
     p_jsa = sub.add_parser("jsa", help="build and export the pair amplitude")
@@ -288,9 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = tomo_sub.add_parser("simulate", help="sample a 36-setting count table")
     add_common(p_sim)
     p_sim.add_argument("--degrade", help="SCALE,OFFSET_FS degradation to apply")
-    p_sim.add_argument(
-        "--background", type=float, help="uniform diagonal background weight"
-    )
+    p_sim.add_argument("--background", help="uniform diagonal background weight")
     p_sim.set_defaults(func=cmd_tomo_simulate)
 
     p_rec = tomo_sub.add_parser("reconstruct", help="MLE state from a count table")

@@ -7,7 +7,8 @@ import os
 from dataclasses import dataclass, field
 
 from .dichroic import SplitterResponse, read_transmission_table
-from .errors import ConfigError, numbered_lines
+from .errors import ConfigError, numbered_lines, parse_fields
+from .jointstate import DegradationModel
 from .spectral import FrequencyGrid, PdcModel
 
 _TRUE = {"true", "yes", "on", "1"}
@@ -23,7 +24,7 @@ def _to_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-#: key -> (parser, default)
+#: key -> (kind, default)
 SCHEMA = {
     "pump_center_nm": (float, 767.6),
     "pump_bandwidth_fwhm_nm": (float, 0.8),
@@ -39,7 +40,7 @@ SCHEMA = {
     "edge_h_nm": (float, 1535.2),
     "edge_v_nm": (float, 1535.2),
     "step_width_nm": (float, 7.0),
-    "transmit_long": (_to_bool, True),
+    "transmit_long": (bool, True),
     "splitter_table_h": (str, None),
     "splitter_table_v": (str, None),
     "jsa_file": (str, None),
@@ -69,6 +70,16 @@ _MAX_GRID_POINTS = 8192
 _MAX_TAU_POINTS = 262_144
 
 
+def parse_value(key, text, where):
+    """The value of configuration ``key`` that ``text`` gives; a fault is a
+    ConfigError that starts ``where:`` and names the key."""
+    kind, _ = SCHEMA[key]
+    try:
+        return _to_bool(text) if kind is bool else parse_fields(kind, [text])[0]
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+
+
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines; unknown keys are an error."""
     values = {}
@@ -81,11 +92,7 @@ def parse_config_file(path) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        parser, _ = SCHEMA[key]
-        try:
-            values[key] = parser(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+        values[key] = parse_value(key, raw, f"{path}:{lineno}")
     return values
 
 
@@ -146,6 +153,15 @@ class RunConfig:
             v["filter_center_nm"] * 1e-9,
             v["filter_width_nm"] * 1e-9,
             n=v["grid_points"],
+        )
+
+    def degradation(self) -> DegradationModel | None:
+        v = self.values
+        if v["degrade_scale"] is None:
+            return None
+        return DegradationModel(
+            amplitude_scale=v["degrade_scale"],
+            time_offset=v["degrade_offset_fs"] * 1e-15,
         )
 
     def splitter(self) -> SplitterResponse:

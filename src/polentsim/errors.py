@@ -77,14 +77,17 @@ def numbered_lines(path, error=FormatError):
                 yield lineno, line
 
 
-def _column(kind, fields):
-    """``fields`` as values of ``kind``, or a ValueError: ``str`` keeps them;
-    ``int`` and ``float`` read ASCII numbers without ``_``, floats finite."""
+def parse_fields(kind, fields):
+    """``fields`` as values of ``kind``, or a ValueError naming the first bad
+    field: ``str`` keeps them; ``int`` and ``float`` read ASCII numbers
+    without ``_``, as ``np.loadtxt`` reads them, and floats are finite.  The
+    one number grammar of the data files, the configuration and the flags."""
     if kind is str:
         return fields
     text = "".join(fields)
     if not text.isascii() or "_" in text:
-        raise ValueError(f"not a number: {text!r}")
+        bad = next(f for f in fields if not f.isascii() or "_" in f)
+        raise ValueError(f"not a number: {bad!r}")
     values = list(map(kind, fields))
     if kind is float and not all(map(isfinite, values)):
         raise ValueError("values must be finite")
@@ -96,7 +99,7 @@ def _parse_row(path, lineno, fields, form, kinds):
     if len(fields) != len(kinds):
         raise FormatError(f"{path}:{lineno}: expected '{form}'")
     try:
-        return tuple(_column(kind, (field,))[0] for kind, field in zip(kinds, fields))
+        return tuple(parse_fields(kind, (field,))[0] for kind, field in zip(kinds, fields))
     except ValueError as exc:
         raise FormatError(f"{path}:{lineno}: {exc}") from exc
 
@@ -113,11 +116,11 @@ def read_rows(path, form, kinds, header=None):
 
     A row is a line of ``len(kinds)`` fields, read as ``kinds`` (``str``,
     ``int`` or ``float``; ``form`` names them); blank lines and lines that
-    start with ``#`` are skipped.  Numbers are ASCII without ``_``, as
-    ``np.loadtxt`` reads them, and floats are finite.  With a ``header``
-    ``(form, kinds)``, the first line that is not blank is such a ``#``
-    line, and its row comes first.  A fault is a ``FormatError`` that starts
-    ``path:lineno:``, or ``path:`` for the file as a whole.
+    start with ``#`` are skipped.  Numbers are read by :func:`parse_fields`.
+    With a ``header`` ``(form, kinds)``, the first line that is not blank is
+    such a ``#`` line, and its row comes first.  A fault is a
+    ``FormatError`` that starts ``path:lineno:``, or ``path:`` for the file
+    as a whole.
     """
     lines = numbered_lines(path)
     rows = []
@@ -129,7 +132,7 @@ def read_rows(path, form, kinds, header=None):
     try:  # a column at a time is fast; a fault is then found row by row
         if any(len(fields) != len(kinds) for fields in table):
             raise ValueError
-        values = list(zip(*(_column(k, c) for k, c in zip(kinds, zip(*table)))))
+        values = list(zip(*(parse_fields(k, c) for k, c in zip(kinds, zip(*table)))))
     except ValueError:
         values = [_parse_row(path, n, fields, form, kinds) for n, fields in numbered]
     return rows + [(lineno, v) for (lineno, _), v in zip(numbered, values)]

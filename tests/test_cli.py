@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import polentsim
 from polentsim import jointstate, metrics
 from polentsim.cli import main
-from polentsim.config import RunConfig
+from polentsim.config import SCHEMA, RunConfig
 from polentsim.jointstate import read_density_matrix
 from polentsim.spectral import (
     C,
@@ -900,6 +900,18 @@ VALID_FILES = {
 }
 
 
+#: The number faults every input meets: text that is not a number, two
+#: non-finite floats, and two that Python's int and float read but
+#: np.loadtxt does not.
+NUMBER_FAULTS = {
+    "non-numeric": "abc",
+    "nan": "nan",
+    "inf": "inf",
+    "underscore": "1_500",
+    "arabic-indic": "\u0661\u0665\u0660\u0660",
+}
+
+
 class TestUndecodableInput:
     @pytest.mark.parametrize(
         "kind, category, code",
@@ -943,9 +955,7 @@ class TestUndecodableInput:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
-        "fault",
-        ["abc", "nan", "inf", "1_500", "\u0661\u0665\u0660\u0660", "width"],
-        ids=["non-numeric", "nan", "inf", "underscore", "arabic-indic", "width"],
+        "fault", [*NUMBER_FAULTS.values(), "width"], ids=[*NUMBER_FAULTS, "width"]
     )
     @pytest.mark.parametrize("kind", list(VALID_FILES))
     def test_bad_field_is_one_error_line(self, tmp_path, capsys, kind, fault):
@@ -968,6 +978,89 @@ class TestUndecodableInput:
         where = ": " if kind == "jsa" else f":{line}: "
         assert captured.err.startswith(f"error[format]: {bad}{where}")
         assert len(captured.err.splitlines()) == 1
+
+
+#: Each numeric flag: the command that takes it, ``{}`` the faulty text,
+#: and the start of its error line.
+NUMERIC_FLAGS = {
+    "seed": (["tomo", "simulate", "--seed", "{}"], "--seed: bad value for seed: "),
+    "background": (
+        ["tomo", "simulate", "--background", "{}"],
+        "--background: bad value for background_b: ",
+    ),
+    "degrade-scale": (
+        ["sweep", "--degrade", "{},4"], "--degrade: bad value for degrade_scale: "
+    ),
+    "degrade-offset": (
+        ["sweep", "--degrade", "0.75,{}"],
+        "--degrade: bad value for degrade_offset_fs: ",
+    ),
+    "delay-fs": (["sweep", "--delay-fs=0,{},25.9"], "--delay-fs: "),
+}
+
+
+class TestMalformedNumbers:
+    """The configuration file and the numeric flags read numbers by the data
+    files' grammar; a fault is one error[config] line that names the key or
+    the flag, exit 2, before any output."""
+
+    def assert_one_config_error(self, capsys, argv, out, start):
+        assert run([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error[config]: {start}")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fault", list(NUMBER_FAULTS.values()), ids=list(NUMBER_FAULTS)
+    )
+    @pytest.mark.parametrize(
+        "key", [key for key, (kind, _) in SCHEMA.items() if kind in (int, float)]
+    )
+    def test_bad_config_value(self, tmp_path, capsys, key, fault):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + f"{key} = {fault}\n")
+        lineno = CONFIG_TEXT.count("\n") + 1
+        self.assert_one_config_error(
+            capsys, ["sweep", "--config", str(cfg)], tmp_path / "out",
+            f"{cfg}:{lineno}: bad value for {key}: ",
+        )
+
+    @pytest.mark.parametrize(
+        "fault", list(NUMBER_FAULTS.values()), ids=list(NUMBER_FAULTS)
+    )
+    @pytest.mark.parametrize("flag", list(NUMERIC_FLAGS))
+    def test_bad_flag_value(self, config_path, tmp_path, capsys, flag, fault):
+        argv, start = NUMERIC_FLAGS[flag]
+        argv = [arg.format(fault) for arg in argv] + ["--config", config_path]
+        self.assert_one_config_error(capsys, argv, tmp_path / "out", start)
+
+    @pytest.mark.parametrize(
+        "argv, config_line, err",
+        [(["sweep"], "grid_points = 25_6",
+          "{cfg}:6: bad value for grid_points: not a number: '25_6'"),
+         (["sweep", "--delay-fs=1_0,2_0"], "", "--delay-fs: not a number: '1_0'"),
+         (["sweep", "--degrade", "0.7_6,2_1"], "",
+          "--degrade: bad value for degrade_scale: not a number: '0.7_6'"),
+         (["tomo", "simulate", "--seed", "1_0"], "",
+          "--seed: bad value for seed: not a number: '1_0'"),
+         (["tomo", "simulate", "--background", "0.0_1"], "",
+          "--background: bad value for background_b: not a number: '0.0_1'"),
+         (["tomo", "simulate", "--seed", "abc"], "",
+          "--seed: bad value for seed: invalid literal for int() with base 10: 'abc'")],
+        ids=["grid-points", "delay-fs", "degrade", "seed", "background", "seed-abc"],
+    )
+    def test_error_names_the_bad_field(self, tmp_path, capsys, argv, config_line, err):
+        """The error quotes the first bad field, not the flag's whole text."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CONFIG_TEXT + config_line + "\n")
+        out = tmp_path / "out"
+        assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[config]: {err.format(cfg=cfg)}\n"
+        assert not out.exists()
 
 
 #: The fuzzed runs' configuration; FUZZ_GRID follows every mutated copy,

@@ -4,6 +4,7 @@ import pytest
 
 from polentsim.config import _MAX_TAU_POINTS, RunConfig, parse_config_file
 from polentsim.errors import ConfigError
+from polentsim.jointstate import DegradationModel
 
 
 class TestParsing:
@@ -81,6 +82,11 @@ class TestRunConfig:
     def test_grid_matches_settings(self):
         grid = RunConfig({"grid_points": 64}).grid()
         assert grid.n == 64
+
+    def test_degradation_from_config(self):
+        assert RunConfig().degradation() is None
+        config = RunConfig({"degrade_scale": 0.75, "degrade_offset_fs": 4.0})
+        assert config.degradation() == DegradationModel(0.75, 4.0e-15)
 
     def test_splitter_from_config(self):
         resp = RunConfig(

@@ -78,7 +78,7 @@ def test_text_files_are_read_by_the_shared_reader():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and (
                 _opens_text_for_reading(node)
-                or getattr(node.func, "id", None) in ("text_file", "decode_errors_as")
+                or getattr(node.func, "id", None) == "text_file"
             ):
                 readers.add((path.name, scopes.get(node, "<module>"), ast.unparse(node.func)))
     assert readers == {
@@ -86,6 +86,20 @@ def test_text_files_are_read_by_the_shared_reader():
         ("errors.py", "numbered_lines", "text_file"),
         ("spectral.py", "read_jsa", "text_file"),
     }
+
+
+def test_flags_reach_the_number_grammar():
+    """No flag of the command line is given an argparse ``type=``: each
+    flag's text reaches the number grammar of the configuration."""
+    cli = Path(polentsim.__file__).parent / "cli.py"
+    calls = [
+        node
+        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+    ]
+    assert len(calls) >= 10  # the walk finds the flags
+    typed = [ast.unparse(c) for c in calls if any(k.arg == "type" for k in c.keywords)]
+    assert typed == []
 
 
 def test_benchmark_names_exist():
