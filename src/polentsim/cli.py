@@ -12,32 +12,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
 from . import jointstate, metrics, spectral, tomography
 from .config import RunConfig, parse_value
-from .errors import (
-    ConfigError,
-    DomainError,
-    FormatError,
-    ResolutionError,
-    SimulationError,
-    UndefinedVisibilityError,
-    parse_fields,
-    read_rows,
-)
-
-_CONFIG_ERRORS = (ConfigError, DomainError, ResolutionError)
-
-
-def _error_category(exc: SimulationError):
-    if isinstance(exc, _CONFIG_ERRORS):
-        return "config", 2
-    if isinstance(exc, FormatError):
-        return "format", 4
-    return "numeric", 3
+from .errors import ConfigError, SimulationError, fault_of, parse_fields, read_rows
 
 
 #: flag -> the configuration key it overrides
@@ -102,8 +82,8 @@ def _post_selected(config: RunConfig) -> jointstate.PostSelectedAmplitudes:
 def cmd_jsa(args) -> int:
     config = _load_config(args)
     jsa = _build_jsa(config)
+    amps = jointstate.post_select(jsa, config.splitter())  # a failure writes nothing
     spectral.write_jsa(_out_path(config, "jsa.txt"), jsa)
-    amps = jointstate.post_select(jsa, config.splitter())
     sys.stdout.write("discarded_fraction %.12g\n" % jsa.discarded_fraction)
     sys.stdout.write("neglected_fraction %.12g\n" % amps.neglected_fraction)
     return 0
@@ -170,17 +150,6 @@ def cmd_tomo_simulate(args) -> int:
     return 0
 
 
-@contextmanager
-def _no_signal_in(path):
-    """A DomainError or UndefinedVisibilityError raised inside comes from a
-    count table at ``path`` that parses but holds no signal, so it ends as
-    a fault of that file."""
-    try:
-        yield
-    except (DomainError, UndefinedVisibilityError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
 def cmd_tomo_reconstruct(args) -> int:
     config = _load_config(args)
     table = tomography.read_count_table(args.counts)
@@ -189,7 +158,7 @@ def cmd_tomo_reconstruct(args) -> int:
         jointstate.read_density_matrix(args.reference) if args.reference else None
     )
     corrected = tomography.subtract_accidentals(table)
-    with _no_signal_in(args.counts):
+    with fault_of(args.counts):  # a table that parses but holds no signal
         rho = tomography.mle_reconstruct(corrected)
         report = metrics.state_report(rho, reference=reference, table=table)
         for family in ("HV", "DD", "RL"):
@@ -209,13 +178,14 @@ def cmd_metrics(args) -> int:
     reference = (
         jointstate.read_density_matrix(args.reference) if args.reference else None
     )
-    table = None
-    if args.counts:
-        table = tomography.attach_accidentals(
-            tomography.read_count_table(args.counts)
-        )
-    with _no_signal_in(args.counts):
-        report = metrics.state_report(rho, reference=reference, table=table)
+    table = (
+        tomography.attach_accidentals(tomography.read_count_table(args.counts))
+        if args.counts else None
+    )
+    report = metrics.state_report(rho, reference=reference)
+    if table is not None:
+        with fault_of(args.counts):  # a table with no singles has no CAR
+            report += metrics.format_report({"car": metrics.car(table)})
     sys.stdout.write(report)
     return 0
 
@@ -224,6 +194,8 @@ def cmd_fit(args) -> int:
     config = _load_config(args)
     rows = read_rows(args.observations, "tau_fs re_D im_D", (float, float, float))
     observations = [(tau * 1e-15, complex(re, im)) for _, (tau, re, im) in rows]
+    with fault_of(args.observations):
+        jointstate.check_observations(observations)
     amps = _post_selected(config)
     window = (config["tau_min_fs"] * 1e-15, config["tau_max_fs"] * 1e-15)
     _check_alias_window(amps, window)
@@ -301,9 +273,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SimulationError as exc:
-        category, code = _error_category(exc)
-        sys.stderr.write(f"error[{category}]: {exc}\n")
-        return code
+        sys.stderr.write(f"error[{exc.category}]: {exc}\n")
+        return exc.exit_code
     except OSError as exc:
         sys.stderr.write(f"error[config]: {exc}\n")
         return 2

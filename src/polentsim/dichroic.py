@@ -13,24 +13,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FormatError, read_rows
+from .errors import DomainError, fault_of, read_rows
 from .spectral import FrequencyGrid, omega_to_wavelength
 
 # logistic slope for a given 10-90 width
 _LOGISTIC_RISE = 2.0 * np.log(9.0)
 
 
-def _check_table(tab, name: str) -> np.ndarray:
-    """``tab`` as an (n, 2) float array of (wavelength, T) samples, n >= 2."""
+def _check_table(tab, name=None) -> np.ndarray:
+    """``tab`` as an (n, 2) float array of (wavelength, T) samples, n >= 2;
+    a fault's message starts ``name:`` when a name is given."""
     tab = np.asarray(tab, dtype=float)
+    where = f"{name}: " if name else ""
     if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
-        raise DomainError(f"{name}: need an (n, 2) array with n >= 2")
+        raise DomainError(f"{where}need an (n, 2) array with n >= 2")
     if not np.all(np.isfinite(tab)):
-        raise DomainError(f"{name}: values must be finite")
+        raise DomainError(f"{where}values must be finite")
     if np.any(np.diff(tab[:, 0]) <= 0):
-        raise DomainError(f"{name}: wavelengths must be increasing")
+        raise DomainError(f"{where}wavelengths must be increasing")
     if np.any((tab[:, 1] < 0) | (tab[:, 1] > 1)):
-        raise DomainError(f"{name}: transmissions must lie in [0, 1]")
+        raise DomainError(f"{where}transmissions must lie in [0, 1]")
     return tab
 
 
@@ -106,7 +108,5 @@ def read_transmission_table(path) -> np.ndarray:
     """Read a two-column ``lambda_nm T`` table into an (n, 2) SI array."""
     rows = read_rows(path, "lambda_nm T", (float, float))
     table = np.array([values for _, values in rows]).reshape(-1, 2) * (1e-9, 1.0)
-    try:
-        return _check_table(table, str(path))
-    except DomainError as exc:
-        raise FormatError(str(exc)) from exc
+    with fault_of(path):
+        return _check_table(table)

@@ -1,24 +1,34 @@
-"""Exception hierarchy shared by all simulation modules, and the one reader
-of their line-oriented text data files."""
+"""Exception hierarchy shared by all simulation modules, with each error's
+category and exit code; the one path that makes an error raised on a data
+file's contents that file's fault; and the one reader of those files."""
 
 from contextlib import contextmanager
 from math import isfinite
 
 
 class SimulationError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; the command line
+    prints ``error[category]`` for it and exits with ``exit_code``."""
+
+    category, exit_code = "numeric", 3
 
 
 class ConfigError(SimulationError):
     """Bad or missing configuration input."""
 
+    category, exit_code = "config", 2
+
 
 class DomainError(SimulationError):
     """Physically invalid argument (non-positive frequency, bad weight, ...)."""
 
+    category, exit_code = "config", 2
+
 
 class ResolutionError(SimulationError):
     """Frequency grid too coarse to resolve the pump envelope."""
+
+    category, exit_code = "config", 2
 
 
 class EmptySupportError(SimulationError):
@@ -48,6 +58,8 @@ class ConvergenceError(SimulationError):
 class FormatError(SimulationError):
     """Malformed data file."""
 
+    category, exit_code = "format", 4
+
 
 class UndefinedVisibilityError(SimulationError):
     """Visibility requested for an all-zero projection family."""
@@ -55,6 +67,19 @@ class UndefinedVisibilityError(SimulationError):
 
 class InvalidStateError(SimulationError):
     """Matrix fails the density-matrix invariants."""
+
+
+@contextmanager
+def fault_of(path, lineno=None):
+    """An invalid value or state, a visibility with no counts or a fit with
+    nothing to fit, raised inside, is a fault of the data file at ``path``:
+    it ends as a ``FormatError`` that starts ``path:lineno:``, or ``path:``."""
+    try:
+        yield
+    except (DomainError, InvalidStateError, UndefinedVisibilityError,
+            UnidentifiableFitError) as exc:
+        where = path if lineno is None else f"{path}:{lineno}"
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 @contextmanager

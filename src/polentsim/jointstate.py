@@ -23,6 +23,7 @@ from .errors import (
     InvalidStateError,
     NonphysicalCoherenceError,
     UnidentifiableFitError,
+    fault_of,
     read_rows,
 )
 from .spectral import FrequencyGrid, JsaGrid, _antidiagonal_sums, _power
@@ -307,15 +308,10 @@ def apply_degradation(sweep: DelaySweep, model: DegradationModel):
 _OFFSET_RESOLUTION = 0.5e-15
 
 
-def fit_degradation(sweep: DelaySweep, observations) -> DegradationModel:
-    """Least-squares (scale, offset) fit to measured coherence values.
-
-    ``observations`` is a sequence of (tau, D_measured).  The offset is
-    scanned in steps of _OFFSET_RESOLUTION over plus or minus half the
-    sweep window; the optimal real scale per offset is closed-form.  Only
-    offsets that shift every observation into the sweep window are
-    scanned, since outside it the sweep holds its boundary value.
-    """
+def check_observations(observations):
+    """The delays and coherences of ``observations``, a sequence of (tau,
+    D_measured), as arrays; a fit needs at least two, all finite, and not
+    every D zero."""
     obs = list(observations)
     if len(obs) < 2:
         raise DomainError("need at least 2 observations")
@@ -325,6 +321,19 @@ def fit_degradation(sweep: DelaySweep, observations) -> DegradationModel:
         raise DomainError("observations must be finite")
     if np.all(np.abs(obs_d) == 0.0):
         raise UnidentifiableFitError("all observed coherences are zero")
+    return obs_tau, obs_d
+
+
+def fit_degradation(sweep: DelaySweep, observations) -> DegradationModel:
+    """Least-squares (scale, offset) fit to measured coherence values.
+
+    ``observations`` is a sequence of (tau, D_measured).  The offset is
+    scanned in steps of _OFFSET_RESOLUTION over plus or minus half the
+    sweep window; the optimal real scale per offset is closed-form.  Only
+    offsets that shift every observation into the sweep window are
+    scanned, since outside it the sweep holds its boundary value.
+    """
+    obs_tau, obs_d = check_observations(observations)
     half_span = (sweep.tau[-1] - sweep.tau[0]) / 2.0
     offsets = np.arange(-half_span, half_span, _OFFSET_RESOLUTION)
     # one row per offset; each row repeats the arithmetic of a scalar scan
@@ -391,7 +400,5 @@ def read_density_matrix(path) -> PolarizationDensityMatrix:
         seen[r, c] = True
     if not seen.all():
         raise FormatError(f"{path}: missing matrix entries")
-    try:
+    with fault_of(path):
         return PolarizationDensityMatrix(rho)
-    except InvalidStateError as exc:
-        raise FormatError(f"{path}: {exc}") from exc

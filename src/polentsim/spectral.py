@@ -23,6 +23,7 @@ from .errors import (
     EmptySupportError,
     FormatError,
     ResolutionError,
+    fault_of,
     parse_header,
     text_file,
 )
@@ -618,11 +619,9 @@ def read_jsa(path) -> JsaGrid:
             path, 1, fh.readline(), "# n_s n_i start_s step_s start_i step_i",
             (int, int, float, float, float, float),
         )
-        try:
+        with fault_of(path, 1):
             # the axis is derived lazily: a huge n allocates nothing here
             grid = FrequencyGrid(s_min, s_step, n_s)
-        except DomainError as exc:
-            raise FormatError(f"{path}:1: {exc}") from exc
         if (n_i, i_min, i_step) != (n_s, s_min, s_step):
             raise FormatError(f"{path}:1: signal and idler axes must be identical")
         values = _cached_pairs(path, n_s)
@@ -646,10 +645,8 @@ def read_jsa(path) -> JsaGrid:
         raise FormatError(f"{path}: values must be finite")
     # a view keeps every bit, the sign of -0.0 included
     amp = values.view(complex).reshape(n_s, n_s)
-    try:
+    with fault_of(path):
         return JsaGrid(grid, amp)
-    except DomainError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _cached_pairs(path, n):

@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     FormatError,
     UndefinedVisibilityError,
+    fault_of,
     read_rows,
 )
 from .jointstate import PolarizationDensityMatrix
@@ -339,10 +340,8 @@ def read_count_table(path) -> CountTable:
             "is too small for finite accidentals"
         )
     for lineno, (a, b, *values) in rows:
-        try:
+        with fault_of(path, lineno):
             pair = (canonical_label(a), canonical_label(b))
-        except DomainError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
         if not all(0 <= v < 2**63 for v in values):  # int64
             raise FormatError(f"{path}:{lineno}: counts must lie in [0, 2^63 - 1]")
         k = _PAIR_INDEX[pair]

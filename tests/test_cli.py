@@ -73,6 +73,20 @@ class TestJsaCommand:
         )
         assert not (out / "jsa_abs.txt").exists()
 
+    def test_failed_post_selection_writes_nothing(self, tmp_path, capsys):
+        """Edges that route nothing into cross-path coincidences end in one
+        error[numeric] line, exit 3, before any file is written."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CONFIG_TEXT + "edge_h_nm = 1400\nedge_v_nm = 1400\n")
+        out = tmp_path / "out"
+        assert run(["jsa", "--config", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error[numeric]: splitter produces no cross-path coincidences\n"
+        )
+        assert not out.exists()
+
     def test_import_round_trip_bit_exact(self, config_path, tmp_path):
         out = tmp_path / "out"
         run(["jsa", "--config", config_path, "--out", str(out)])
@@ -744,6 +758,33 @@ class TestMetricsCommand:
         assert captured.err == f"error[format]: {bad}: {message}\n"
         assert not (out / "rho.txt").exists()
 
+    @pytest.mark.parametrize("with_counts", [False, True], ids=["alone", "with-counts"])
+    def test_state_fault_is_not_the_count_table_fault(
+        self, config_path, tmp_path, capsys, with_counts
+    ):
+        """A matrix within the reader's tolerances whose purity has an
+        imaginary part is a numeric failure of the state, exit 3, with or
+        without --counts; it is not a fault of the count table."""
+        out = tmp_path / "out"
+        run(["tomo", "simulate", "--config", config_path, "--out", str(out)])
+        tilted = tmp_path / "tilted.txt"
+        tilted.write_text(
+            "".join(
+                "%d %d 0.25 %.17g\n" % (r, c, 0.9e-12 if r > c else 0.0)
+                for r in range(4) for c in range(4)
+            )
+        )
+        capsys.readouterr()
+        argv = ["metrics", "--matrix", str(tilted)]
+        if with_counts:
+            argv += ["--counts", str(out / "counts.txt")]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error[numeric]: purity has a non-negligible imaginary part\n"
+        )
+
 
 class TestFitCommand:
     @pytest.mark.parametrize(
@@ -829,14 +870,6 @@ class TestFitCommand:
             assert float(parts[4]) == pytest.approx(exact.real, rel=1e-5, abs=1e-9)
             assert float(parts[6]) == pytest.approx(exact.imag, rel=1e-5, abs=1e-9)
 
-    def test_too_few_rows_is_usage_error(self, config_path, tmp_path, capsys):
-        obs = tmp_path / "obs.txt"
-        obs.write_text("0 0.3 0.1\n")
-        assert run(
-            ["fit", "--config", config_path, "--observations", str(obs)]
-        ) == 2
-        assert capsys.readouterr().err.startswith("error[config]:")
-
     @pytest.mark.parametrize("row", ["nan 0.3 0.1", "10 inf 0.1", "10 0.3 nan"])
     def test_non_finite_observation_exit_code(
         self, config_path, tmp_path, capsys, row
@@ -912,6 +945,57 @@ NUMBER_FAULTS = {
 }
 
 
+_JSA_HEAD, _JSA_BODY = _flat_jsa_text().split("\n", 1)
+_, _, _JSA_START, _JSA_STEP, _, _ = _JSA_HEAD[1:].split()
+
+#: A file that every reader's grammar accepts but its own checks reject:
+#: its kind, its text, and its error line after ``error[format]: <path>``.
+CONTENT_FAULTS = {
+    "splitter-unsorted": (
+        "splitter-table", "1570 0.9\n1500 0.1\n", ": wavelengths must be increasing"
+    ),
+    "splitter-above-one": (
+        "splitter-table", "1500 0.1\n1570 1.5\n", ": transmissions must lie in [0, 1]"
+    ),
+    "splitter-one-row": (
+        "splitter-table", "1500 0.1\n", ": need an (n, 2) array with n >= 2"
+    ),
+    "matrix-bad-index": (
+        "density-matrix",
+        VALID_FILES["density-matrix"][0].replace("0 1 0.0 0", "0 4 0.0 0"),
+        ":2: bad or duplicate index",
+    ),
+    "matrix-duplicate-index": (
+        "density-matrix",
+        VALID_FILES["density-matrix"][0].replace("0 1 0.0 0", "0 0 0.25 0"),
+        ":2: bad or duplicate index",
+    ),
+    "jsa-one-point": (
+        "jsa", f"# 1 1 {_JSA_START} {_JSA_STEP} {_JSA_START} {_JSA_STEP}\n0 0\n",
+        ":1: grid needs at least 2 points, got 1",
+    ),
+    "jsa-zero-step": (
+        "jsa", f"# 16 16 {_JSA_START} 0 {_JSA_START} 0\n" + _JSA_BODY,
+        ":1: grid step must be positive, got 0.0",
+    ),
+    "jsa-axes-differ": (
+        "jsa", f"# 16 16 {_JSA_START} {_JSA_STEP} 1e15 {_JSA_STEP}\n" + _JSA_BODY,
+        ":1: signal and idler axes must be identical",
+    ),
+    "count-unknown-label": (
+        "count-table", VALID_FILES["count-table"][0].replace("H H", "H X", 1),
+        ":2: unknown projection label 'X'",
+    ),
+    "observations-one-row": ("observations", "0 0.3 0.1\n", ": need at least 2 observations"),
+    "observations-comments-only": (
+        "observations", "# tau_fs re_D im_D\n", ": need at least 2 observations"
+    ),
+    "observations-all-zero": (
+        "observations", "0 0 0\n25.9 0 -0\n", ": all observed coherences are zero"
+    ),
+}
+
+
 class TestUndecodableInput:
     @pytest.mark.parametrize(
         "kind, category, code",
@@ -978,6 +1062,22 @@ class TestUndecodableInput:
         where = ": " if kind == "jsa" else f":{line}: "
         assert captured.err.startswith(f"error[format]: {bad}{where}")
         assert len(captured.err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("fault", list(CONTENT_FAULTS))
+    def test_content_fault_is_one_exact_line(self, tmp_path, capsys, fault):
+        """A file that parses but fails its own checks ends in one
+        error[format] line that names the file, exit 4, before any output.
+        (The density matrix's state checks and the count table's signal
+        checks are pinned in TestMetricsCommand and TestTomoCommands.)"""
+        kind, text, message = CONTENT_FAULTS[fault]
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run(input_file_argv(kind, bad, tmp_path)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[format]: {bad}{message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 #: Each numeric flag: the command that takes it, ``{}`` the faulty text,

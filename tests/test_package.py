@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import polentsim
+from polentsim import errors
 from polentsim.spectral import FrequencyGrid
 
 
@@ -100,6 +101,38 @@ def test_flags_reach_the_number_grammar():
     assert len(calls) >= 10  # the walk finds the flags
     typed = [ast.unparse(c) for c in calls if any(k.arg == "type" for k in c.keywords)]
     assert typed == []
+
+
+def _caught_errors(handler):
+    """The package's error classes that ``handler`` names."""
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    found = [getattr(errors, ast.unparse(n).rsplit(".", 1)[-1], None) for n in names]
+    return [c for c in found if isinstance(c, type) and issubclass(c, errors.SimulationError)]
+
+
+def test_only_the_fault_path_makes_a_format_error():
+    """No module but errors.py catches one of the package's errors and raises
+    a FormatError in its place: a library error raised on a data file's
+    contents becomes that file's fault through ``errors.fault_of`` alone.
+    Other handlers, such as read_jsa's of np.loadtxt's ValueError, may."""
+    converting = []
+    handlers = 0
+    for path in sorted(Path(polentsim.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                continue
+            handlers += 1
+            raises = {
+                ast.unparse(n.exc.func)
+                for n in ast.walk(node)
+                if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+            }
+            if "FormatError" in raises and _caught_errors(node):
+                converting.append(f"{path.name}:{node.lineno}")
+    assert handlers >= 5  # the walk finds the handlers
+    assert converting == []
 
 
 def test_benchmark_names_exist():
