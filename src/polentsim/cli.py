@@ -5,6 +5,8 @@ Subcommands: ``jsa``, ``sweep``, ``tomo simulate``, ``tomo reconstruct``,
 configuration file; command-line flags override file values.  Delays are
 femtoseconds at the boundary and seconds internally.  Exit codes: 0 ok,
 2 configuration error, 4 malformed data file, 3 numeric failure.
+Each ``cmd_*`` returns ``(files, report)``: ``(path, writer, value)`` in
+write order and its stdout text.  Only :func:`main` writes, after every check.
 """
 
 from __future__ import annotations
@@ -41,9 +43,12 @@ def _load_config(args) -> RunConfig:
 
 
 def _out_path(config: RunConfig, name: str) -> str:
-    out_dir = config["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+    return os.path.join(config["out_dir"], name)
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _parse_delays(text: str) -> np.ndarray:
@@ -79,17 +84,16 @@ def _post_selected(config: RunConfig) -> jointstate.PostSelectedAmplitudes:
     return jointstate.post_select(_build_jsa(config), config.splitter())
 
 
-def cmd_jsa(args) -> int:
+def cmd_jsa(args):
     config = _load_config(args)
     jsa = _build_jsa(config)
-    amps = jointstate.post_select(jsa, config.splitter())  # a failure writes nothing
-    spectral.write_jsa(_out_path(config, "jsa.txt"), jsa)
-    sys.stdout.write("discarded_fraction %.12g\n" % jsa.discarded_fraction)
-    sys.stdout.write("neglected_fraction %.12g\n" % amps.neglected_fraction)
-    return 0
+    amps = jointstate.post_select(jsa, config.splitter())
+    report = metrics.format_report({"discarded_fraction": jsa.discarded_fraction,
+                                    "neglected_fraction": amps.neglected_fraction})
+    return [(_out_path(config, "jsa.txt"), spectral.write_jsa, jsa)], report
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     config = _load_config(args)
     amps = _post_selected(config)
     if args.delay_fs is not None:
@@ -104,9 +108,8 @@ def cmd_sweep(args) -> int:
     _check_alias_window(amps, taus, model)
     sweep = jointstate.sweep_at(amps, taus, model)
     path = _out_path(config, "sweep.txt")
-    jointstate.write_sweep(path, sweep)
-    sys.stdout.write("sweep %s rows %d\n" % (path, sweep.tau.size))
-    return 0
+    report = "sweep %s rows %d\n" % (path, sweep.tau.size)
+    return [(path, jointstate.write_sweep, sweep)], report
 
 
 def _model_state(config: RunConfig, model) -> jointstate.PolarizationDensityMatrix:
@@ -121,12 +124,11 @@ def _model_state(config: RunConfig, model) -> jointstate.PolarizationDensityMatr
     return rho
 
 
-def cmd_tomo_simulate(args) -> int:
+def cmd_tomo_simulate(args):
     config = _load_config(args)
     if not config["gate_rate_hz"] > 0:
         raise ConfigError("gate_rate_hz must be positive")
     rho = _model_state(config, config.degradation())
-    jointstate.write_density_matrix(_out_path(config, "model_matrix.txt"), rho)
     pair_rate = config["pair_rate_hz"]
     if pair_rate is None:
         pair_rate = tomography.calibrate_pair_rate(
@@ -145,12 +147,13 @@ def cmd_tomo_simulate(args) -> int:
         singles_rate=singles_rate,
     )
     path = _out_path(config, "counts.txt")
-    tomography.write_count_table(path, table)
-    sys.stdout.write("counts %s pair_rate_hz %.12g\n" % (path, pair_rate))
-    return 0
+    return [
+        (_out_path(config, "model_matrix.txt"), jointstate.write_density_matrix, rho),
+        (path, tomography.write_count_table, table),
+    ], "counts %s pair_rate_hz %.12g\n" % (path, pair_rate)
 
 
-def cmd_tomo_reconstruct(args) -> int:
+def cmd_tomo_reconstruct(args):
     config = _load_config(args)
     table = tomography.read_count_table(args.counts)
     table = tomography.attach_accidentals(table)
@@ -161,19 +164,17 @@ def cmd_tomo_reconstruct(args) -> int:
     with fault_of(args.counts):  # a table that parses but holds no signal
         rho = tomography.mle_reconstruct(corrected)
         report = metrics.state_report(rho, reference=reference, table=table)
-        for family in ("HV", "DD", "RL"):
-            report += "visibility_%s %.12g\n" % (
-                family,
-                tomography.visibility(corrected, family),
-            )
-    jointstate.write_density_matrix(_out_path(config, "rho.txt"), rho)
-    with open(_out_path(config, "metrics.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report)
-    sys.stdout.write(report)
-    return 0
+        report += metrics.format_report({
+            f"visibility_{family}": tomography.visibility(corrected, family)
+            for family in ("HV", "DD", "RL")
+        })
+    return [
+        (_out_path(config, "rho.txt"), jointstate.write_density_matrix, rho),
+        (_out_path(config, "metrics.txt"), _write_text, report),
+    ], report
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args):
     rho = jointstate.read_density_matrix(args.matrix)
     reference = (
         jointstate.read_density_matrix(args.reference) if args.reference else None
@@ -186,11 +187,10 @@ def cmd_metrics(args) -> int:
     if table is not None:
         with fault_of(args.counts):  # a table with no singles has no CAR
             report += metrics.format_report({"car": metrics.car(table)})
-    sys.stdout.write(report)
-    return 0
+    return [], report
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     config = _load_config(args)
     rows = read_rows(args.observations, "tau_fs re_D im_D", (float, float, float))
     observations = [(tau * 1e-15, complex(re, im)) for _, (tau, re, im) in rows]
@@ -201,15 +201,14 @@ def cmd_fit(args) -> int:
     _check_alias_window(amps, window)
     sweep = jointstate.delay_sweep(amps, *window, config["tau_points"])
     model = jointstate.fit_degradation(sweep, observations)
-    sys.stdout.write("amplitude_scale %.12g\n" % model.amplitude_scale)
-    sys.stdout.write("time_offset_fs %.12g\n" % (model.time_offset * 1e15))
+    report = metrics.format_report({"amplitude_scale": model.amplitude_scale,
+                                    "time_offset_fs": model.time_offset * 1e15})
     for tau, observed in observations:
         predicted = jointstate.d_parameter(amps, tau, model)
-        sys.stdout.write(
-            "residual tau_fs %.6g re %.6g im %.6g\n"
-            % (tau * 1e15, predicted.real - observed.real, predicted.imag - observed.imag)
+        report += "residual tau_fs %.6g re %.6g im %.6g\n" % (
+            tau * 1e15, predicted.real - observed.real, predicted.imag - observed.imag
         )
-    return 0
+    return [], report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,13 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        files, report = args.func(args)
+        for path, writer, value in files:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            writer(path, value)
+        sys.stdout.write(report)
     except SimulationError as exc:
         sys.stderr.write(f"error[{exc.category}]: {exc}\n")
         return exc.exit_code
     except OSError as exc:
         sys.stderr.write(f"error[config]: {exc}\n")
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -75,28 +75,17 @@ def car(table: CountTable) -> float:
 
 
 def format_report(values: dict) -> str:
-    """Render a ``key value`` metrics report."""
-    keys = ("purity", "concurrence", "fidelity", "re_D", "im_D", "abs_D", "phase_rad", "car")
-    lines = []
-    for key in keys:
-        if key in values and values[key] is not None:
-            lines.append("%s %.12g" % (key, values[key]))
-    return "\n".join(lines) + "\n"
+    """Render every ``key value`` pair as a ``%s %.12g`` line, in order."""
+    return "".join("%s %.12g\n" % item for item in values.items())
 
 
 def state_report(rho, reference=None, table: CountTable | None = None) -> str:
     """Full metrics report for a state, optionally vs. a reference state."""
     d, phase = extract_d(rho)
-    values = {
-        "purity": purity(rho),
-        "concurrence": concurrence(rho),
-        "re_D": d.real,
-        "im_D": d.imag,
-        "abs_D": abs(d),
-        "phase_rad": phase,
-    }
+    values = {"purity": purity(rho), "concurrence": concurrence(rho)}
     if reference is not None:
         values["fidelity"] = fidelity(rho, reference)
+    values.update(re_D=d.real, im_D=d.imag, abs_D=abs(d), phase_rad=phase)
     if table is not None:
         values["car"] = car(table)
     return format_report(values)

@@ -548,8 +548,6 @@ def marginal_fwhm(axis, density) -> float:
     lo, hi = above[0], above[-1]
 
     def _cross(i, j):
-        if i == j:
-            return axis[i]
         frac = (half - density[i]) / (density[j] - density[i])
         return axis[i] + frac * (axis[j] - axis[i])
 

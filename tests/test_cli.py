@@ -17,6 +17,7 @@ import polentsim
 from polentsim import jointstate, metrics
 from polentsim.cli import main
 from polentsim.config import SCHEMA, RunConfig
+from polentsim.dichroic import SplitterResponse
 from polentsim.jointstate import read_density_matrix
 from polentsim.spectral import (
     C,
@@ -317,6 +318,31 @@ class TestSweepCommand:
         assert captured.err.startswith(f"error[format]: {table}{where}")
         assert len(captured.err.splitlines()) == 1
 
+    def test_splitter_tables_for_both_polarizations(self, tmp_path, capsys):
+        """Tables that sample the logistic edges of the H and V paths give
+        the sweep of those edges; swapped, they give another sweep."""
+        lam = np.linspace(1500e-9, 1570e-9, 14001)
+        edges = SplitterResponse(edge_wavelength_h=1533.55e-9, edge_wavelength_v=1536.85e-9)
+        for pol in "HV":
+            rows = np.column_stack([lam * 1e9, edges.transmission(2 * np.pi * C / lam, pol)])
+            np.savetxt(tmp_path / f"edge_{pol}.txt", rows, fmt="%.17g")
+
+        def sweep(config_lines):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(CONFIG_TEXT + config_lines)
+            out = tmp_path / "out"
+            assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            return np.loadtxt(out / "sweep.txt")
+
+        logistic = sweep("")
+        tables = sweep(f"splitter_table_h = {tmp_path / 'edge_H.txt'}\n"
+                       f"splitter_table_v = {tmp_path / 'edge_V.txt'}\n")
+        swapped = sweep(f"splitter_table_h = {tmp_path / 'edge_V.txt'}\n"
+                        f"splitter_table_v = {tmp_path / 'edge_H.txt'}\n")
+        np.testing.assert_allclose(tables, logistic, rtol=0, atol=1e-6)
+        assert np.max(np.abs(swapped - logistic)) > 1e-3
+        capsys.readouterr()
+
     def test_oversized_tau_points_exit_code(self, tmp_path, capsys, monkeypatch):
         def no_delays(*args, **kwargs):
             raise AssertionError("delays built for an oversized tau_points")
@@ -524,21 +550,31 @@ class TestTomoCommands:
         assert captured.out == ""
         assert captured.err.startswith("error[config]:")
         assert len(captured.err.splitlines()) == 1
-        assert not (out / "counts.txt").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
-        "config_line",
-        ["singles_rate_hz = 1e30", "coincidence_rate_hz = 1e300",
-         "coincidence_rate_hz = 1e308", "pair_rate_hz = 1e308",
-         "singles_rate_hz = -870", "gate_rate_hz = 0", "acquisition_s = 0",
-         "grid_points = 8"],
+        "config_line, message",
+        [("singles_rate_hz = 1e30", "cannot draw Poisson counts"),
+         ("coincidence_rate_hz = 1e300", "cannot draw Poisson counts"),
+         ("coincidence_rate_hz = 1e308", "calibrated pair rate is not finite"),
+         ("pair_rate_hz = 1e308", "expected counts are not finite"),
+         ("singles_rate_hz = -870", "singles rate must be non-negative"),
+         ("gate_rate_hz = 0", "gate_rate_hz must be positive"),
+         ("acquisition_s = 0", "acquisition_time must be positive and finite"),
+         ("grid_points = 8", "grid too coarse across the pump bandwidth"),
+         ("filter_width_nm = 0", "window width must be positive"),
+         ("filter_center_nm = 10", "window extends to non-positive wavelengths"),
+         ("group_index_signal = 0.5", "group_index_signal must be finite and >= 1")],
         ids=["singles-huge", "coincidence-huge", "coincidence-overflow",
              "pair-overflow", "singles-negative", "gate-zero",
-             "acquisition-zero", "grid-too-coarse"],
+             "acquisition-zero", "grid-too-coarse", "filter-width-zero",
+             "window-below-zero", "group-index-below-one"],
     )
     def test_simulate_out_of_range_config_exit_code(
-        self, tmp_path, capsys, config_line
+        self, tmp_path, capsys, config_line, message
     ):
+        """A value that a check rejects writes nothing, model_matrix.txt
+        included: the output directory is never made."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(CONFIG_TEXT + config_line + "\n")
         out = tmp_path / "out"
@@ -546,9 +582,22 @@ class TestTomoCommands:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error[config]:")
+        assert captured.err.startswith(f"error[config]: {message}")
         assert len(captured.err.splitlines()) == 1
-        assert not (out / "counts.txt").exists()
+        assert not out.exists()
+
+    def test_simulate_empty_out_dir_exit_code(self, config_path, tmp_path, capsys,
+                                              monkeypatch):
+        """``--out ''`` names no directory: exit 2, and nothing is written
+        to the working directory in its place."""
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code = run(["tomo", "simulate", "--config", config_path, "--out", ""])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[config]: [Errno 2] No such file or directory: ''\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize(
         "header",
@@ -1116,7 +1165,7 @@ class TestMalformedNumbers:
         "fault", list(NUMBER_FAULTS.values()), ids=list(NUMBER_FAULTS)
     )
     @pytest.mark.parametrize(
-        "key", [key for key, (kind, _) in SCHEMA.items() if kind in (int, float)]
+        "key", [key for key, (kind, _) in SCHEMA.items() if kind in (int, float, bool)]
     )
     def test_bad_config_value(self, tmp_path, capsys, key, fault):
         cfg = tmp_path / "bad.cfg"
@@ -1148,8 +1197,11 @@ class TestMalformedNumbers:
          (["tomo", "simulate", "--background", "0.0_1"], "",
           "--background: bad value for background_b: not a number: '0.0_1'"),
          (["tomo", "simulate", "--seed", "abc"], "",
-          "--seed: bad value for seed: invalid literal for int() with base 10: 'abc'")],
-        ids=["grid-points", "delay-fs", "degrade", "seed", "background", "seed-abc"],
+          "--seed: bad value for seed: invalid literal for int() with base 10: 'abc'"),
+         (["sweep"], "transmit_long = maybe",
+          "{cfg}:6: bad value for transmit_long: not a boolean: 'maybe'")],
+        ids=["grid-points", "delay-fs", "degrade", "seed", "background", "seed-abc",
+             "transmit-long"],
     )
     def test_error_names_the_bad_field(self, tmp_path, capsys, argv, config_line, err):
         """The error quotes the first bad field, not the flag's whole text."""

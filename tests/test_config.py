@@ -24,6 +24,16 @@ class TestParsing:
             "transmit_long": False,
         }
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("true", True), ("Yes", True), ("ON", True), ("1", True),
+         ("false", False), ("No", False), ("OFF", False), ("0", False)],
+    )
+    def test_boolean_spellings(self, tmp_path, text, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"transmit_long = {text}\n")
+        assert RunConfig.load(path).splitter().transmit_long is value
+
     def test_unknown_key_named_in_error(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("pump_centre_nm = 770.0\n")
@@ -102,6 +112,13 @@ class TestRunConfig:
         resp = RunConfig({"splitter_table_h": str(table)}).splitter()
         assert resp.table_h is not None
         assert resp.table_v is None
+
+    def test_splitter_table_v_loading(self, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text("1500.0 0.1\n1570.0 0.9\n")
+        resp = RunConfig({"splitter_table_v": str(table)}).splitter()
+        assert resp.table_h is None
+        assert resp.table_v.tolist() == [[1500e-9, 0.1], [1570e-9, 0.9]]
 
     def test_invalid_physical_value_fails_before_compute(self):
         config = RunConfig({"crystal_length_mm": -1.0})

@@ -162,11 +162,10 @@ class TestCar:
 
 class TestReports:
     def test_format_order_and_selection(self):
-        text = format_report({"purity": 0.75, "car": 9.5, "skipped": 1.0})
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("purity ")
-        assert lines[1].startswith("car ")
-        assert len(lines) == 2
+        """Every given pair is rendered, in the order given, as ``%s %.12g``."""
+        text = format_report({"car": 9.5, "purity": 0.75, "anything": 1 / 3})
+        assert text == "car 9.5\npurity 0.75\nanything 0.333333333333\n"
+        assert format_report({}) == ""
 
     def test_state_report_keys(self):
         text = state_report(BELL, reference=BELL)

@@ -103,6 +103,31 @@ def test_flags_reach_the_number_grammar():
     assert typed == []
 
 
+def test_only_main_writes():
+    """In cli.py only ``main`` makes a directory, calls a writer (a call whose
+    name starts with ``write``) or writes stdout, and only the text writer of
+    metrics.txt opens a file: a command returns its files and its report, so
+    a check that stops it leaves nothing behind."""
+    cli = Path(polentsim.__file__).parent / "cli.py"
+    calls = set()
+    for func in ast.parse(cli.read_text(encoding="utf-8")).body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = ast.unparse(node.func)
+                    last = name.rsplit(".", 1)[-1]
+                    if last.startswith("write") or last in ("open", "makedirs", "print"):
+                        calls.add((func.name, name))
+    assert calls == {
+        ("_write_text", "open"),
+        ("_write_text", "fh.write"),
+        ("main", "os.makedirs"),
+        ("main", "writer"),
+        ("main", "sys.stdout.write"),
+        ("main", "sys.stderr.write"),
+    }
+
+
 def _caught_errors(handler):
     """The package's error classes that ``handler`` names."""
     names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
