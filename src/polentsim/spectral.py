@@ -170,9 +170,9 @@ class PdcModel:
             "crystal_length",
         ):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be positive and finite")
-        if not np.isfinite(self.intrinsic_delay_comp):
+        if not math.isfinite(self.intrinsic_delay_comp):
             raise DomainError("intrinsic_delay_comp must be finite")
         n_gs, n_gi, n_gp = _default_group_indices(
             self.crystal_length, self.intrinsic_delay_comp
@@ -185,7 +185,7 @@ class PdcModel:
             object.__setattr__(self, "group_index_pump", n_gp)
         for name in ("group_index_signal", "group_index_idler", "group_index_pump"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 1.0):
+            if not (math.isfinite(value) and value >= 1.0):
                 raise DomainError(f"{name} must be finite and >= 1")
 
     @property
@@ -458,11 +458,12 @@ def build_jsa(model: PdcModel, grid: FrequencyGrid) -> JsaGrid:
         np.multiply.outer(phase_s[rows], phase_i, out=band)
         x = np.add.outer(x_s[rows], x_i)
         near = np.flatnonzero(np.abs(x) < _SINC_GUARD)
-        x_near = x.flat[near]
-        x.flat[near] = 1.0  # no division by zero; these cells are set below
+        cells = x.reshape(-1)  # a view: x is a new contiguous array
+        x_near = cells[near]
+        cells[near] = 1.0  # no division by zero; these cells are set below
         # Im(e^{i x_s} e^{i x_i}) is sin(x_s + x_i) by the angle-sum identity
         envelope = np.divide(band.imag, x)
-        envelope.flat[near] = _sinc(x_near)
+        envelope.reshape(-1)[near] = _sinc(x_near)
         envelope *= _gaussian(np.add.outer(u[rows], u, out=x), out=x)
         band *= envelope
         return float(np.vdot(envelope, envelope))
@@ -561,10 +562,74 @@ def marginal_fwhm(axis, density) -> float:
 #: the processor cache and the text of one block is held at a time.
 _WRITE_BLOCK_VALUES = 1 << 13
 
+#: Bytes of a leaf of the sidecar's digest, a part of the file format: the
+#: table's bytes and then the amplitude's are cut into leaves of this size,
+#: the last leaf of each part shorter.
+_TABLE_CHUNK = 1 << 19
+
 
 def _sidecar(path) -> str:
     """The binary sidecar :func:`write_jsa` writes beside the table."""
     return os.fspath(path) + ".bin"
+
+
+# The sidecar's digest is the SHA-256 of the SHA-256 digests of its leaves,
+# the table's leaves first (a Merkle tree of one level: R. C. Merkle,
+# CRYPTO '87).  The leaves are hashed independently, so a read hashes them
+# on the band lanes; only the functions below call hashlib, which is
+# imported on first use because it adds milliseconds to start-up.
+
+
+def _leaf_digest(leaf) -> bytes:
+    """The SHA-256 of one leaf (``hashlib`` lets other threads run while
+    it hashes more than 2 KiB)."""
+    import hashlib
+
+    return hashlib.sha256(leaf).digest()
+
+
+def _root(leaf_digests) -> bytes:
+    """The sidecar's digest of the leaves whose digests are given, in
+    order."""
+    import hashlib
+
+    return hashlib.sha256(b"".join(leaf_digests)).digest()
+
+
+class _Leaves:
+    """The leaf digests of a byte stream fed in pieces of any size: each
+    piece goes into the open leaf, and a leaf is closed when it holds
+    _TABLE_CHUNK bytes."""
+
+    def __init__(self):
+        self.digests = []
+        self._leaf, self._room = None, 0  # no leaf open
+
+    def feed(self, data) -> None:
+        import hashlib
+
+        data = memoryview(data)
+        while data:
+            if not self._room:
+                self._leaf, self._room = hashlib.sha256(), _TABLE_CHUNK
+            piece, data = data[: self._room], data[self._room :]
+            self._leaf.update(piece)
+            self._room -= len(piece)
+            if not self._room:
+                self.digests.append(self._leaf.digest())
+
+    def close(self) -> list:
+        """The digests of every leaf, a last short leaf closed."""
+        if self._room:
+            self.digests.append(self._leaf.digest())
+        return self.digests
+
+
+def _leaves(array) -> list:
+    """The consecutive _TABLE_CHUNK-byte leaves of a contiguous array's
+    bytes, as views."""
+    data = array.reshape(-1).view(np.uint8)
+    return [data[at : at + _TABLE_CHUNK] for at in range(0, data.size, _TABLE_CHUNK)]
 
 
 def write_jsa(path, jsa: JsaGrid) -> None:
@@ -572,36 +637,30 @@ def write_jsa(path, jsa: JsaGrid) -> None:
     its binary sidecar ``path + ".bin"``.
 
     Each value is written as ``%.17g`` writes it, by :func:`format_pairs`.
-    The sidecar holds the 32-byte SHA-256 of the table's bytes followed by
-    the amplitude's bytes, then those amplitude bytes: n * n little-endian
+    The sidecar holds the 32-byte digest of the table's bytes and the
+    amplitude's bytes, then those amplitude bytes: n * n little-endian
     complex128 values in C order, so that the digest means the same on any
-    host.  Each block of text is hashed as it is written, so the text is
-    made once.
+    host.  Each block of text goes into the digest's leaves as it is
+    written, so the text is made once and never read back.
     """
-    import hashlib  # not at module import: it adds milliseconds to start-up
-
     grid = jsa.grid
     amplitude = np.ascontiguousarray(jsa.amplitude, dtype="<c16")
-    digest = hashlib.sha256()
+    text = _Leaves()
     with open(path, "wb") as fh:
         header = b"# %d %d %.17g %.17g %.17g %.17g\n" % (
             grid.n, grid.n, grid.start, grid.d_omega, grid.start, grid.d_omega
         )
-        digest.update(header)
+        text.feed(header)
         fh.write(header)
         values = amplitude.reshape(-1).view("<f8")
         for start in range(0, values.size, _WRITE_BLOCK_VALUES):
-            text = format_pairs(values[start : start + _WRITE_BLOCK_VALUES])
-            digest.update(text)
-            fh.write(text)
-    digest.update(amplitude)
+            block = format_pairs(values[start : start + _WRITE_BLOCK_VALUES])
+            text.feed(block)
+            fh.write(block)
+    digest = _root(text.close() + [_leaf_digest(leaf) for leaf in _leaves(amplitude)])
     with open(_sidecar(path), "wb") as fh:
-        fh.write(digest.digest())
+        fh.write(digest)
         fh.write(amplitude)
-
-
-#: Bytes of a JSA table hashed at a time.
-_TABLE_CHUNK = 1 << 19
 
 
 def read_jsa(path) -> JsaGrid:
@@ -650,10 +709,15 @@ def read_jsa(path) -> JsaGrid:
 def _cached_pairs(path, n):
     """The (re, im) rows of the amplitude held in the sidecar of the table
     at ``path``, or None unless the sidecar is 32 + 16 n**2 bytes long and
-    opens with the SHA-256 of the table's bytes and of the amplitude it
-    holds."""
-    import hashlib  # not at module import: it adds milliseconds to start-up
+    opens with the digest of the table's bytes and of the amplitude it
+    holds.
 
+    The leaves are hashed on the lanes of :func:`_map_bands`.  Each lane
+    reads the table's leaves through a file object of its own into one
+    buffer of its own, by seek and ``readinto``: a positioned read that
+    makes no new buffer per leaf, and a table cut short under the read
+    reads short, which fails the digest.
+    """
     try:
         with open(_sidecar(path), "rb") as fh:
             # the size first: a header's n allocates nothing the file lacks
@@ -662,13 +726,31 @@ def _cached_pairs(path, n):
             digest = fh.read(32)
             amplitude = np.empty(n * n, dtype="<c16")
             fh.readinto(amplitude)  # a short read fails the digest below
+        table_leaves = range(0, os.stat(path).st_size, _TABLE_CHUNK)
     except OSError:
         return None
-    expected = hashlib.sha256()
-    with open(path, "rb") as raw:
-        while chunk := raw.read(_TABLE_CHUNK):
-            expected.update(chunk)
-    expected.update(amplitude)
-    if digest != expected.digest():
+    amplitude_leaves = _leaves(amplitude)
+    lanes = threading.local()  # each lane's table file and leaf buffer
+    opened = []
+
+    def leaf_digest(i):
+        if i >= len(table_leaves):
+            return _leaf_digest(amplitude_leaves[i - len(table_leaves)])
+        if not hasattr(lanes, "table"):
+            lanes.table = open(path, "rb")
+            opened.append(lanes.table)
+            lanes.buffer = bytearray(_TABLE_CHUNK)
+        lanes.table.seek(table_leaves[i])
+        size = lanes.table.readinto(lanes.buffer)
+        return _leaf_digest(memoryview(lanes.buffer)[:size])
+
+    try:
+        leaves = _map_bands(leaf_digest, range(len(table_leaves) + len(amplitude_leaves)))
+    except OSError:
+        return None
+    finally:
+        for table in opened:
+            table.close()
+    if digest != _root(leaves):
         return None
     return amplitude.astype(complex, copy=False).view(float).reshape(n * n, 2)

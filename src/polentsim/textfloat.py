@@ -12,13 +12,13 @@ Each value is therefore written byte for byte as ``%`` writes it, and
 printf does (U. Adams, "Ryu revisited: printf floating point conversion",
 Proc. ACM Program. Lang. 3 (OOPSLA), 2019): the value times 10**(16 - k),
 k = floor(log10 |x|) by ``np.log10``, rounded to an integer, from one
-128-bit product. Zeros are written directly. ``%``, which also rounds
-ties to even, formats the rest: a value whose digits fall outside
-[10**16, 10**17) (a k that log10 misjudged beside a power of ten, or a
-rounding that carries), whose product lies too close to a rounding tie
-to decide, a subnormal, a value below 1e-292 (its power of ten is beyond
-the table), a value that ``%g`` writes in fixed notation (exponents -4
-to 16) and a non-finite value.
+128-bit product whose low word is taken to within 2**33 units. Zeros are
+written directly. ``%``, which also rounds ties to even, formats the
+rest: a value whose digits fall outside [10**16, 10**17) (a k that log10
+misjudged beside a power of ten, or a rounding that carries), whose
+product lies too close to a rounding tie to decide, a subnormal, a value
+below 1e-292 (its power of ten is beyond the table), a value that ``%g``
+writes in fixed notation (exponents -4 to 16) and a non-finite value.
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ def _powers_of_five():
 
 
 _P5_HI, _P5_LO = _powers_of_five()
+
+
+#: Units of the low word within which a product is too close to a
+#: rounding tie to decide: more than its error, 2**33 + 3 units.
+_TIE = 1 << 34
 
 
 def _mul128(a, b):
@@ -136,7 +141,6 @@ def format_pairs(values):
     bits = x.view(np.uint64)
     biased = ((bits >> 52) & 0x7FF).astype(np.intp)
     vector = (biased >= 1) & (biased <= 0x7FE)
-    biased = np.clip(biased, 1, 0x7FE)
     m = (bits & ((1 << 52) - 1)) | (1 << 52)
     # the decimal exponent floor(log10 |x|), up to one beside a power of
     # ten; 0 where the vectors decline
@@ -147,23 +151,32 @@ def format_pairs(values):
     q = 16 - k
     vector &= q <= _Q_MAX
     q = np.minimum(q, _Q_MAX)
+    row = q - _Q_MIN
     w = m << 11
-    hi, lo = _mul128(w, _P5_HI[q - _Q_MIN])
-    carry, _ = _mul128(w, _P5_LO[q - _Q_MIN])
+    hi, lo = _mul128(w, _P5_HI[row])
+    # the high word of w times the power's low word, less than 2**33 below
+    # it: the product of their high halves
+    carry = (w >> 32) * (_P5_LO[row] >> 32)
     lo += carry
     hi += lo < carry
-    # x * 10**q is (hi, lo) / 2**(64 + t) up to 2 units of lo, since the
-    # power of five is within one unit of its last bit
-    t = np.clip(1085 - biased - ((217706 * q) >> 16), 1, 63).astype(np.uint64)
-    # the dropped bits are (hi mod 2**t, lo); within 2 units of one half
+    # x * 10**q is (hi, lo) / 2**(64 + t) to within 2**33 + 3 units of lo,
+    # the power of five being within one unit of its last bit; t is held to
+    # 1..63, so that the values the vectors decline shift by a valid count
+    t = np.minimum(np.maximum(1085 - biased - ((217706 * q) >> 16), 1), 63).astype(np.uint64)
+    # the dropped bits are (hi mod 2**t, lo); within _TIE units of one half
     # the rounding is not decided
-    low = lo + 2
-    dropped = (hi & ((1 << t) - 1)) + (low < 2)
-    vector &= ~((dropped == (1 << (t - 1))) & (low <= 4))
-    digits = (hi >> t) + ((hi >> (t - 1)) & 1)
+    quotient = hi >> t
+    dropped = hi - (quotient << t)
+    half = 1 << (t - 1)
+    low = lo + _TIE
+    vector &= ~((dropped + (low < _TIE) == half) & (low <= 2 * _TIE))
+    digits = quotient + (dropped >= half)
     # a k one too large leaves the product below 10**16, a k one too small
-    # rounds it to 10**17 or more, and so does a carry into the next power
-    vector &= ((hi >> t) >= 10**16) & (digits < 10**17)
+    # rounds it to 10**17 or more, and so does a carry into the next power;
+    # the first test takes the product at its upper bound, since one within
+    # the error below 10**16 rounds to 10**17 at the next k, the same text
+    ceiling = (hi + (lo > 2**64 - 1 - _TIE)) >> t
+    vector &= (ceiling >= 10**16) & (digits < 10**17)
     # %g writes the exponents -4 to 16 in fixed notation
     vector &= (k < -4) | (k > 16)
     zero = (bits << 1) == 0
@@ -172,19 +185,28 @@ def format_pairs(values):
 
     lead = digits // 10**16
     fraction = digits - lead * 10**16
-    upper, lower = np.divmod(fraction, 10**8)
-    groups = np.column_stack(np.divmod(upper, 10**4) + np.divmod(lower, 10**4)).astype(np.intp)
+    # the four groups of four fraction digits, one row each; NumPy's
+    # floor division by a scalar multiplies (libdivide), where divmod
+    # divides
+    fraction = fraction.view(np.int64)  # below 10**16
+    halves = np.empty((2, n), dtype=np.int64)
+    np.floor_divide(fraction, 10**8, out=halves[0])
+    np.subtract(fraction, halves[0] * 10**8, out=halves[1])
+    groups = np.empty((4, n), dtype=np.int64)
+    np.floor_divide(halves, 10**4, out=groups[0::2])
+    np.subtract(halves, groups[0::2] * 10**4, out=groups[1::2])
     # the last group, and each group followed by zeros only, loses its
     # trailing zeros
-    tail = np.ones(n, dtype=bool)
-    for col in (3, 2, 1, 0):
-        groups[:, col] += 10**4 * tail
-        tail &= groups[:, col] == 10**4
+    groups[3] += 10**4
+    tail = groups[3] == 10**4
+    for group in groups[2::-1]:
+        group += 10**4 * tail
+        tail &= group == 10**4
     cells = np.empty((n, _CELL), dtype=np.uint8)
-    cells[:, 0] = (bits >> 63) * ord("-")
-    cells[:, 1] = lead + ord("0")
-    cells[:, 2] = (fraction != 0) * ord(".")
-    cells[:, 3:19].view(np.uint32)[:] = digit_words[groups]
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=cells[:, 0])
+    np.add(lead, ord("0"), out=cells[:, 1], casting="unsafe")
+    np.multiply(fraction != 0, np.uint8(ord(".")), out=cells[:, 2])
+    cells[:, 3:19].view(np.uint32)[:] = digit_words[groups].T
     cells[:, 19] = ord("e")
     cells[:, 20:24].view(np.uint32)[:, 0] = exponent_words[k + _K_MAX]
     cells[0::2, 24] = ord(" ")
@@ -192,5 +214,4 @@ def format_pairs(values):
     cells[zero, 19:24] = 0
     for i in np.flatnonzero(~vector):
         cells[i, :_W] = np.frombuffer(_percent(float(x[i])).ljust(_W, b"\0"), dtype=np.uint8)
-    cells = cells.ravel()
-    return cells[cells != 0].tobytes()
+    return cells.tobytes().translate(None, b"\0")

@@ -89,6 +89,35 @@ def test_text_files_are_read_by_the_shared_reader():
     }
 
 
+def test_one_digest_path():
+    """In the package only the sidecar's digest helpers in spectral.py,
+    which write_jsa and the sidecar read share, import or name hashlib, so
+    the writer and the reader cannot define the digest twice; and no
+    module imports mmap: a table cut short under a map would kill the
+    process instead of raising."""
+    hashers, mappers = set(), set()
+    for path in sorted((Path(polentsim.__file__).parent).glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = (path.name, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    modules = {alias.name.split(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    modules = {(node.module or "").split(".")[0]}
+                else:
+                    modules = {node.id} if isinstance(node, ast.Name) else set()
+                if "hashlib" in modules:
+                    hashers.add(scope)
+                if "mmap" in modules:
+                    mappers.add(scope)
+    assert hashers == {
+        ("spectral.py", "_leaf_digest"),
+        ("spectral.py", "_root"),
+        ("spectral.py", "_Leaves"),
+    }
+    assert mappers == set()
+
+
 def test_flags_reach_the_number_grammar():
     """No flag of the command line is given an argparse ``type=``: each
     flag's text reaches the number grammar of the configuration."""

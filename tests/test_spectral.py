@@ -120,6 +120,27 @@ class TestFrequencyGrid:
         assert grid.d_omega == step and grid.start == w_lo + 0.5 * step
 
 
+_POSITIVE_FIELDS = (
+    "pump_center_wavelength", "pump_bandwidth_fwhm", "degeneracy_wavelength", "crystal_length",
+)
+_GROUP_INDEX_FIELDS = ("group_index_signal", "group_index_idler", "group_index_pump")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [(f, v, f"{f} must be positive and finite")
+     for f in _POSITIVE_FIELDS for v in (np.nan, np.inf, 0.0, -1e-9)]
+    + [("intrinsic_delay_comp", v, "intrinsic_delay_comp must be finite")
+       for v in (np.nan, np.inf)]
+    + [(f, v, f"{f} must be finite and >= 1") for f in _GROUP_INDEX_FIELDS for v in (np.nan, 0.5)],
+)
+def test_model_rejects_each_bad_field(field, value, message):
+    """Each field of PdcModel out of its range raises DomainError with the
+    field's own message."""
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        PdcModel(**{field: value})
+
+
 class TestPumpEnvelope:
     def test_peak_is_one(self):
         assert pump_envelope(MODEL, MODEL.omega_pump_center) == pytest.approx(
@@ -774,6 +795,15 @@ def assert_read_holds_one_chunk(path, monkeypatch, parsed):
     assert peak <= 2 * jsa.amplitude.nbytes
 
 
+def tree_digest(text, amplitude, leaf=1 << 19):
+    """The sidecar's digest written out: the SHA-256 over the SHA-256
+    digests of the text's leaves of ``leaf`` bytes, then of the
+    amplitude's, the last leaf of each shorter."""
+    leaves = [text[at : at + leaf] for at in range(0, len(text), leaf)]
+    leaves += [amplitude[at : at + leaf] for at in range(0, len(amplitude), leaf)]
+    return hashlib.sha256(b"".join(hashlib.sha256(x).digest() for x in leaves)).digest()
+
+
 def signed_zero_table():
     """A 4-point table whose parts include -0.0 and subnormals."""
     grid = FrequencyGrid(GRID.start, GRID.d_omega, 4)
@@ -875,19 +905,22 @@ class TestJsaFile:
         write_table(path, build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)))
         assert_read_holds_one_chunk(path, monkeypatch, parsed=True)
 
-    def test_cached_read_holds_one_chunk_of_the_text(self, tmp_path, monkeypatch):
-        """A read from the sidecar hashes the text one chunk at a time and
-        holds no more than the parse does."""
+    def test_cached_read_holds_one_chunk_of_the_text(self, tmp_path, monkeypatch, set_lanes):
+        """A read from the sidecar hashes the text one chunk at a time per
+        lane, on one lane or two, and holds no more than the parse does."""
         path = tmp_path / "jsa.txt"
         write_jsa(path, build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)))
-        assert_read_holds_one_chunk(path, monkeypatch, parsed=False)
+        for lanes in (1, 2):
+            set_lanes(lanes)
+            assert_read_holds_one_chunk(path, monkeypatch, parsed=False)
 
     @pytest.mark.parametrize("table", ["default", "cropped", "signed-zero"])
     def test_cached_read_equals_parsed_read(self, tmp_path, monkeypatch, table):
-        """The sidecar holds the SHA-256 of the table's bytes and the
-        amplitude's, then the amplitude as little-endian complex128 in C
-        order; a read from it gives the bits and the grid that parsing the
-        text gives, and a read writes no file."""
+        """The sidecar holds the digest of the table's bytes and the
+        amplitude's (a SHA-256 over the SHA-256 of each 512 KiB leaf), then
+        the amplitude as little-endian complex128 in C order; a read from it
+        gives the bits and the grid that parsing the text gives, and a read
+        writes no file."""
         jsa = {
             "default": lambda: build_jsa(
                 MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512)
@@ -899,7 +932,7 @@ class TestJsaFile:
         write_jsa(path, jsa)
         text = path.read_bytes()
         amplitude = jsa.amplitude.astype("<c16").tobytes()
-        digest = hashlib.sha256(text + amplitude).digest()
+        digest = tree_digest(text, amplitude)
         assert sidecar.read_bytes() == digest + amplitude
         calls = parse_spy(monkeypatch)
         cached = read_jsa(path)
@@ -913,10 +946,58 @@ class TestJsaFile:
         )
         assert path.read_bytes() == text
 
+    def test_sidecar_and_read_do_not_depend_on_the_lanes(self, tmp_path, monkeypatch, set_lanes):
+        """The writer gives the same sidecar, and a read from it the same
+        bits, on one lane and on two."""
+        jsa = build_jsa(MODEL, FrequencyGrid.centered(1535.2e-9, 40e-9, n=512))
+        sidecars, reads = [], []
+        for lanes in (1, 2):
+            set_lanes(lanes)
+            path = tmp_path / f"{lanes}" / "jsa.txt"
+            path.parent.mkdir()
+            write_jsa(path, jsa)
+            sidecars.append((tmp_path / f"{lanes}" / "jsa.txt.bin").read_bytes())
+            calls = parse_spy(monkeypatch)
+            reads.append(read_jsa(path).amplitude.view(np.uint64))
+            assert calls == []
+        assert sidecars[0] == sidecars[1]
+        assert np.array_equal(reads[0], reads[1])
+        assert np.array_equal(reads[0], jsa.amplitude.view(np.uint64))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, "one-leaf"])
+    def test_every_leaf_boundary_reads_from_the_sidecar(self, tmp_path, monkeypatch, offset):
+        """With 48-byte leaves, tables whose text is one byte under, exactly
+        at and one byte over a multiple of the leaf, and a table smaller
+        than one leaf, are read from the sidecar; the 400 bytes of a 5 x 5
+        amplitude end in a short leaf.  The text's length is set by the
+        signs of the small values: a sign adds one byte."""
+        leaf = 48 if offset != "one-leaf" else 4096
+        monkeypatch.setattr(spectral, "_TABLE_CHUNK", leaf)
+        grid = FrequencyGrid(GRID.start, GRID.d_omega, 5)
+        amp = np.full((5, 5), complex(1e-20, 1e-20))
+        amp[0, 0] = 1.0 / np.sqrt(grid.cell)
+        path, sidecar = tmp_path / "jsa.txt", tmp_path / "jsa.txt.bin"
+        write_jsa(path, JsaGrid(grid, amp))
+        if offset != "one-leaf":
+            signs = (offset - path.stat().st_size) % leaf
+            amp.view(float).reshape(-1)[2 : 2 + signs] *= -1.0
+            write_jsa(path, JsaGrid(grid, amp))
+            assert path.stat().st_size % leaf == offset % leaf
+            assert path.stat().st_size > leaf
+        else:
+            assert path.stat().st_size < leaf
+        text, amplitude = path.read_bytes(), amp.astype("<c16").tobytes()
+        assert sidecar.read_bytes() == tree_digest(text, amplitude, leaf) + amplitude
+        calls = parse_spy(monkeypatch)
+        back = read_jsa(path)
+        assert calls == []
+        assert np.array_equal(back.amplitude.view(np.uint64), amp.view(np.uint64))
+
     @pytest.mark.parametrize(
         "case",
         ["edited-text", "other-table", "other-amplitude", "truncated", "one-byte-long",
-         "empty", "big-endian", "npy-file", "npz-file"],
+         "empty", "big-endian", "npy-file", "npz-file", "edited-last-text-leaf",
+         "flipped-last-amplitude-leaf", "flat-digest"],
     )
     def test_unusable_sidecar_falls_back_to_the_parse(self, tmp_path, monkeypatch, case):
         """A sidecar that is stale, from another table, of another size or
@@ -925,6 +1006,9 @@ class TestJsaFile:
         grid = FrequencyGrid(GRID.start, GRID.d_omega, 40)
         jsa = build_jsa(MODEL, grid)
         path, sidecar = tmp_path / "jsa.txt", tmp_path / "jsa.txt.bin"
+        if case.startswith(("edited-last", "flipped-last")):
+            # 4 KiB leaves: the text and the amplitude each end in a short leaf
+            monkeypatch.setattr(spectral, "_TABLE_CHUNK", 1 << 12)
         write_jsa(path, jsa)
         held = sidecar.read_bytes()
         digest = held[:32]
@@ -957,6 +1041,20 @@ class TestJsaFile:
             # the sidecar of the earlier layout, under the new name
             with open(sidecar, "wb") as fh:
                 np.savez(fh, amplitude=jsa.amplitude, sha256=np.frombuffer(digest, np.uint8))
+        elif case == "edited-last-text-leaf":
+            # the last imaginary part one ulp up, in the text's short last leaf
+            text = path.read_bytes()
+            assert len(text) % (1 << 12) and len(text) > 1 << 12
+            head = text[:-1].rsplit(b"\n", 1)[0]
+            value = np.nextafter(jsa.amplitude[-1, -1].imag, np.inf)
+            path.write_bytes(head + b"\n%.17g %.17g\n" % (jsa.amplitude[-1, -1].real, value))
+        elif case == "flat-digest":
+            # the sidecar of the earlier digest: one SHA-256 over text and amplitude
+            amplitude = held[32:]
+            sidecar.write_bytes(hashlib.sha256(path.read_bytes() + amplitude).digest() + amplitude)
+        elif case == "flipped-last-amplitude-leaf":
+            assert (len(held) - 32) % (1 << 12) and len(held) - 32 > 1 << 12
+            sidecar.write_bytes(held[:-1] + bytes([held[-1] ^ 1]))
         expected = path.read_bytes()
         calls = parse_spy(monkeypatch)
         back = read_jsa(path)
@@ -964,7 +1062,7 @@ class TestJsaFile:
         (tmp_path / "copy.txt").write_bytes(expected)
         parsed = read_jsa(tmp_path / "copy.txt")
         assert np.array_equal(back.amplitude.view(np.uint64), parsed.amplitude.view(np.uint64))
-        if case != "edited-text":
+        if case not in ("edited-text", "edited-last-text-leaf"):
             assert np.array_equal(back.amplitude, jsa.amplitude)
 
     @settings(deadline=None, max_examples=60)
