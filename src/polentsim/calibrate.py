@@ -21,71 +21,45 @@ def split_edges(template: SplitterResponse, split: float) -> SplitterResponse:
     )
 
 
-_RTOL = 4 * math.ulp(1.0)  # brentq's relative tolerance, 4 eps
+#: Edge separations (m) searched by :func:`fit_edge_split`, the bracket
+#: width (m) at which the search stops, and its step cap.
+_SPLIT_BRACKET = (-10e-9, 10e-9)
+_SPLIT_TOL = 1e-13
+_SPLIT_STEPS = 100
 
 
-def _brent_root(f, a, b, args=(), xtol=2e-12, maxiter=100):
-    """Root of ``f(x, *args)`` in [a, b] by Brent's method.
-
-    The steps and the floating-point arithmetic of the ``brentq`` C routine
-    (``Zeros/brentq.c``), so its roots are reproduced bit for bit: secant
-    interpolation or inverse quadratic extrapolation when the step is
-    short enough, bisection otherwise.  Brent, *Algorithms for
-    Minimization Without Derivatives* (1973), ch. 4.
+def _illinois_root(f, a, b, args):
+    """Root of ``f(x, *args)`` in [a, b]: regula falsi with the Illinois
+    modification (Dowell & Jarratt, BIT 11, 168-174, 1971), each step held
+    _SPLIT_TOL / 8 or more inside the bracket so that it crosses a root
+    converged on from one side.  Returns the midpoint of a bracket no wider
+    than _SPLIT_TOL, or an end where f is exactly 0.
     """
-    if not xtol > 0:
-        raise DomainError(f"root tolerance must be positive, got {xtol!r}")
-
-    def value(x):
-        fx = float(f(x, *args))
-        if math.isnan(fx):
-            raise DomainError(f"root function is NaN at x={x!r}")
-        return fx
-
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
+    f_old, f_new = f(a, *args), f(b, *args)
+    if f_old == 0.0 or f_new == 0.0:
+        return a if f_old == 0.0 else b
+    if (f_old < 0) == (f_new < 0):
         raise UnidentifiableFitError(
             "root function has the same sign at both ends of the bracket"
         )
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    old, new, kept = a, b, False
+    for _ in range(_SPLIT_STEPS):
+        width = abs(old - new)
+        if width <= _SPLIT_TOL:
+            return (old + new) / 2
+        step = width * f_new / (f_new - f_old)
+        step = min(max(step, _SPLIT_TOL / 8), width - _SPLIT_TOL / 8)
+        x = new + math.copysign(step, old - new)
+        fx = f(x, *args)
+        if (fx < 0) != (f_new < 0):
+            old, f_old, kept = new, f_new, False
+        elif kept:  # old is kept twice running
+            f_old /= 2
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+            kept = True
+        new, f_new = x, fx
     raise ConvergenceError(
-        f"root search did not converge in {maxiter} iterations", best=xcur
+        f"root search did not converge in {_SPLIT_STEPS} steps", best=(old + new) / 2
     )
 
 
@@ -100,12 +74,6 @@ def _alpha_excess(split, power, template, grid, target_alpha):
     return alpha - target_alpha
 
 
-#: Edge separations (m) searched by :func:`fit_edge_split`, and the root
-#: tolerance (m) of the search.
-_SPLIT_BRACKET = (-10e-9, 10e-9)
-_SPLIT_TOL = 1e-13
-
-
 def fit_edge_split(
     jsa: JsaGrid, template: SplitterResponse, target_alpha: float
 ) -> SplitterResponse:
@@ -117,8 +85,10 @@ def fit_edge_split(
     the one :func:`~polentsim.jointstate.post_select` reports, evaluated
     from |f|^2 and the two edge curves without building g and h.  A
     target that no split in _SPLIT_BRACKET reaches raises
-    UnidentifiableFitError.
+    UnidentifiableFitError, and a non-finite one DomainError.
     """
+    if not math.isfinite(target_alpha):
+        raise DomainError(f"target alpha must be finite, got {target_alpha!r}")
     args = (_power(jsa.amplitude), template, jsa.grid, target_alpha)
-    split = _brent_root(_alpha_excess, *_SPLIT_BRACKET, args, xtol=_SPLIT_TOL)
+    split = _illinois_root(_alpha_excess, *_SPLIT_BRACKET, args)
     return split_edges(template, split)

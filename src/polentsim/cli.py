@@ -88,8 +88,9 @@ def cmd_jsa(args):
     config = _load_config(args)
     jsa = _build_jsa(config)
     amps = jointstate.post_select(jsa, config.splitter())
-    report = metrics.format_report({"discarded_fraction": jsa.discarded_fraction,
-                                    "neglected_fraction": amps.neglected_fraction})
+    values = {"discarded_fraction": jsa.discarded_fraction,  # None when read from a file
+              "neglected_fraction": amps.neglected_fraction}
+    report = metrics.format_report({k: v for k, v in values.items() if v is not None})
     return [(_out_path(config, "jsa.txt"), spectral.write_jsa, jsa)], report
 
 

@@ -191,6 +191,14 @@ class PolarizationDensityMatrix:
         object.__setattr__(self, "elements", rho)
 
 
+def _as_matrix(rho) -> np.ndarray:
+    """The elements of a :class:`PolarizationDensityMatrix`, or a 4x4 array
+    taken as complex."""
+    if isinstance(rho, PolarizationDensityMatrix):
+        return rho.elements
+    return np.asarray(rho, dtype=complex)
+
+
 def density_matrix(alpha: float, beta: float, d: complex) -> PolarizationDensityMatrix:
     """Assemble the two-term density matrix from (alpha, beta, D)."""
     if abs(alpha + beta - 1.0) > 1e-9:

@@ -5,20 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InvalidStateError
-from .jointstate import PolarizationDensityMatrix
-from .tomography import PROJECTION_PAIRS, CountTable
+from .jointstate import _as_matrix
+from .tomography import _PAIR_INDEX, CountTable
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 #: Count-table rows of the cross-polarized settings (H,V) and (V,H).
-_CROSS = [PROJECTION_PAIRS.index(("H", "V")), PROJECTION_PAIRS.index(("V", "H"))]
-
-
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, PolarizationDensityMatrix):
-        return rho.elements
-    return np.asarray(rho, dtype=complex)
+_CROSS = [_PAIR_INDEX["H", "V"], _PAIR_INDEX["V", "H"]]
 
 
 def purity(rho) -> float:

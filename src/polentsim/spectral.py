@@ -215,11 +215,15 @@ def _riemann_power(values, cell) -> float:
 
 @dataclass(frozen=True)
 class JsaGrid:
-    """Discretized complex joint spectral amplitude, unit Riemann norm."""
+    """Discretized complex joint spectral amplitude, unit Riemann norm.
+
+    ``discarded_fraction`` is None where it is unknown, as for a JSA read
+    from a file.
+    """
 
     grid: FrequencyGrid
     amplitude: np.ndarray
-    discarded_fraction: float = 0.0
+    discarded_fraction: float | None = None
 
     def __post_init__(self):
         amp = np.asarray(self.amplitude, dtype=complex)

@@ -23,7 +23,7 @@ from .errors import (
     fault_of,
     read_rows,
 )
-from .jointstate import PolarizationDensityMatrix
+from .jointstate import PolarizationDensityMatrix, _as_matrix
 
 _SQ2 = np.sqrt(2.0)
 
@@ -74,8 +74,7 @@ _PROJECTORS.flags.writeable = False
 
 def projection_probabilities(rho) -> np.ndarray:
     """Tr(P_nu rho) for every projection, canonical order."""
-    rho = rho.elements if isinstance(rho, PolarizationDensityMatrix) else rho
-    return np.real(np.einsum("nij,ji->n", _PROJECTORS, rho))
+    return np.real(np.einsum("nij,ji->n", _PROJECTORS, _as_matrix(rho)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,8 +300,7 @@ def mix_background(rho, background: float) -> PolarizationDensityMatrix:
     """
     if not 0.0 <= background <= 0.25:
         raise DomainError("background weight must lie in [0, 0.25]")
-    base = rho.elements if isinstance(rho, PolarizationDensityMatrix) else rho
-    mixed = (1.0 - 4.0 * background) * base + background * np.eye(4)
+    mixed = (1.0 - 4.0 * background) * _as_matrix(rho) + background * np.eye(4)
     return PolarizationDensityMatrix(mixed)
 
 

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import polentsim
-from polentsim.calibrate import _SPLIT_BRACKET, _SPLIT_TOL, _alpha_excess, _brent_root
+from polentsim import calibrate
+from polentsim.calibrate import _SPLIT_TOL, _alpha_excess, _illinois_root, fit_edge_split
 from polentsim.dichroic import SplitterResponse
 from polentsim.errors import ConvergenceError, DomainError, UnidentifiableFitError
-from polentsim.jointstate import _power
+from polentsim.jointstate import _power, diagonal_weights, post_select
 from polentsim.spectral import FrequencyGrid, PdcModel, build_jsa
 
 GRID = FrequencyGrid.centered(1535.2e-9, 40e-9, 512)
@@ -22,67 +23,55 @@ def _cube_excess(x):
     return x**3 - 2.0
 
 
-def test_matches_scipy_brentq_bit_for_bit():
-    brentq = pytest.importorskip("scipy.optimize").brentq
-    rng = np.random.default_rng(61)
-    for _ in range(30):
+def test_converges_to_the_root():
+    root = _illinois_root(_cube_excess, 0.0, 2.0, ())
+    assert root == pytest.approx(2.0 ** (1 / 3), abs=_SPLIT_TOL / 2)
+
+
+def test_iteration_cap_raises_with_last_iterate(monkeypatch):
+    monkeypatch.setattr(calibrate, "_SPLIT_STEPS", 1)
+    with pytest.raises(ConvergenceError) as err:
+        _illinois_root(_cube_excess, 0.0, 2.0, ())
+    assert 0.0 < err.value.best < 2.0
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf")])
+def test_nonfinite_target_rejected(monkeypatch, target):
+    """A target that is not finite is rejected before any evaluation."""
+    seen = []
+    monkeypatch.setattr(calibrate, "_alpha_excess", lambda *args: seen.append(args))
+    jsa = build_jsa(PdcModel(), GRID)
+    with pytest.raises(DomainError, match="finite"):
+        fit_edge_split(jsa, SplitterResponse(), target)
+    assert seen == []
+
+
+def test_unbracketed_root_rejected():
+    with pytest.raises(UnidentifiableFitError, match="same sign"):
+        _illinois_root(_cube_excess, 2.0, 3.0, ())
+
+
+def test_fit_holds_alpha_to_the_benchmark_tolerance():
+    """Over draws of the benchmark's source and target ranges, the fitted
+    split gives alpha within 2e-6 of the target, and the excess changes
+    sign across the split within 1.1 times the bracket tolerance."""
+    rng = np.random.default_rng(23)
+    step = 1.1 * _SPLIT_TOL
+    for _ in range(20):
         model = PdcModel(
             pump_bandwidth_fwhm=rng.uniform(0.5e-9, 1.1e-9),
             crystal_length=rng.uniform(1.5e-3, 2.3e-3),
         )
         template = SplitterResponse(step_width=rng.uniform(5e-9, 9e-9))
         target = rng.uniform(0.45, 0.62)
-        args = (_power(build_jsa(model, GRID).amplitude), template, GRID, target)
-        lo, hi = _SPLIT_BRACKET
-        split = _brent_root(_alpha_excess, lo, hi, args, xtol=_SPLIT_TOL)
-        assert split == brentq(_alpha_excess, lo, hi, args=args, xtol=_SPLIT_TOL)
-
-
-def test_matches_scipy_brentq_on_steep_and_flat_roots():
-    """Roots that force the bisection and the extrapolation steps."""
-    brentq = pytest.importorskip("scipy.optimize").brentq
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        r, k = rng.uniform(-0.9, 0.9), 10 ** rng.uniform(0, 4)
-        for f in (
-            lambda x: np.tanh(k * (x - r)),
-            lambda x: (x - r) ** 5 + 1e-3 * np.sign(x - r),
-            lambda x: (x - r) * np.exp(k * 1e-3 * x) - 1e-6,
-        ):
-            for xtol in (1e-13, 1e-8):
-                assert _brent_root(f, -1.0, 1.0, xtol=xtol) == brentq(
-                    f, -1.0, 1.0, xtol=xtol
-                )
-
-
-def test_converges_to_the_root():
-    root = _brent_root(_cube_excess, 0.0, 2.0, xtol=1e-14)
-    assert root == pytest.approx(2.0 ** (1 / 3), abs=1e-14)
-
-
-def test_iteration_cap_raises_with_last_iterate():
-    with pytest.raises(ConvergenceError) as err:
-        _brent_root(_cube_excess, 0.0, 2.0, xtol=1e-14, maxiter=1)
-    assert 0.0 < err.value.best < 2.0
-
-
-def test_nan_value_rejected():
-    def nan_inside(x):
-        return x if abs(x) == 1.0 else float("nan")
-
-    with pytest.raises(DomainError, match="NaN"):
-        _brent_root(nan_inside, -1.0, 1.0)
-
-
-@pytest.mark.parametrize("xtol", [0.0, -1e-13, float("nan")])
-def test_nonpositive_tolerance_rejected(xtol):
-    with pytest.raises(DomainError, match="tolerance"):
-        _brent_root(_cube_excess, 0.0, 2.0, xtol=xtol)
-
-
-def test_unbracketed_root_rejected():
-    with pytest.raises(UnidentifiableFitError, match="same sign"):
-        _brent_root(_cube_excess, 2.0, 3.0)
+        jsa = build_jsa(model, GRID)
+        fitted = fit_edge_split(jsa, template, target)
+        alpha, _ = diagonal_weights(post_select(jsa, fitted))
+        assert abs(alpha - target) <= 2e-6
+        split = fitted.edge_wavelength_h - fitted.edge_wavelength_v
+        args = (_power(jsa.amplitude), template, GRID, target)
+        below, above = (_alpha_excess(split + d, *args) for d in (-step, step))
+        assert below * above <= 0
 
 
 def test_import_loads_no_scipy():

@@ -88,15 +88,22 @@ class TestJsaCommand:
         )
         assert not out.exists()
 
-    def test_import_round_trip_bit_exact(self, config_path, tmp_path):
+    def test_import_round_trip_bit_exact(self, config_path, tmp_path, capsys):
+        """A JSA read back writes the same bytes and reports the same
+        neglected fraction; the file does not carry the clipping figure,
+        so the import prints no discarded_fraction line."""
         out = tmp_path / "out"
         run(["jsa", "--config", config_path, "--out", str(out)])
         first = (out / "jsa.txt").read_bytes()
+        built = capsys.readouterr().out.splitlines()
         cfg2 = tmp_path / "import.cfg"
         cfg2.write_text(CONFIG_TEXT + f"jsa_file = {out / 'jsa.txt'}\n")
         out2 = tmp_path / "out2"
         assert run(["jsa", "--config", str(cfg2), "--out", str(out2)]) == 0
         assert (out2 / "jsa.txt").read_bytes() == first
+        assert built[0].startswith("discarded_fraction ")
+        assert built[1].startswith("neglected_fraction ")
+        assert capsys.readouterr().out.splitlines() == built[1:]
 
     def test_unequal_axes_file_exit_code(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

@@ -50,6 +50,26 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_no_scipy_import():
+    """No file of the package or of its tests imports scipy: the runtime
+    and the test suite need numpy alone."""
+    root = Path(__file__).resolve().parents[1]
+    importing = []
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("importorskip"):
+                modules = [n.value for n in node.args[:1] if isinstance(n, ast.Constant)]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                importing.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert importing == []
+
+
 def _opens_text_for_reading(call):
     """Whether ``call`` is ``open``/``.open``/``.read_text`` of a text file
     for reading: no mode, or a mode without b, w, a, x or +."""
